@@ -136,9 +136,12 @@ int main(int argc, char** argv) {
   options.init_vertices = cells;
   options.init_edges = num_events;
   options.ingest_profile = profile;
-  // Only the absorber threads write the store (+1 slack for recovery paths
-  // driven from the main thread).
-  options.max_writer_threads = static_cast<std::uint32_t>(absorbers + 1);
+  // Absorbers run as scheduler tasks, so any scheduler worker may write the
+  // store (+1 slack for recovery paths driven from the main thread).
+  options.max_writer_threads = static_cast<std::uint32_t>(
+      std::max<std::size_t>(static_cast<std::size_t>(absorbers),
+                            sched::TaskScheduler::global().num_workers()) +
+      1);
   auto graph = core::DgapStore::create(*pool, options);
 
   ingest::AsyncIngestor::Options iopts;

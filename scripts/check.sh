@@ -170,10 +170,6 @@ expect_reject ./build/fig6_insert_throughput --metrics-interval-ms=nope
 expect_reject ./build/streaming_analytics --metrics-interval-ms=0
 expect_reject ./build/streaming_analytics --metrics-interval-ms=nope
 expect_reject ./build/fig7_pr_cc --cold-tier=nope
-expect_reject ./build/fig7_pr_cc --cold-pread=maybe
-expect_reject ./build/fig7_pr_cc --uring-depth=0
-expect_reject ./build/fig7_pr_cc --uring-depth=nope
-expect_reject ./build/fig7_pr_cc --uring-depth=-4
 expect_reject ./build/fig8_bfs_bc --cold-tier=bogus
 expect_reject ./build/fig6_insert_throughput --threads=0
 expect_reject ./build/fig6_insert_throughput --threads=nope

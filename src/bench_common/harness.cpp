@@ -95,11 +95,6 @@ BenchConfig parse_common(const Cli& cli, double default_scale,
   };
   if (cli.has("cold-tier")) cfg.tuning.cold_tier = strict_bool("cold-tier");
   cfg.tuning.cold_file = cli.get("cold-file", "");
-  if (cli.has("uring-depth"))
-    cfg.tuning.uring_depth =
-        static_cast<std::uint32_t>(parse_positive_int_capped(
-            cli.get("uring-depth", ""), "--uring-depth", 4096));
-  if (cli.has("cold-pread")) cfg.tuning.cold_pread = strict_bool("cold-pread");
   if (cli.has("pm-read-ns"))
     cfg.pm_read_ns = static_cast<std::uint64_t>(parse_positive_int_capped(
         cli.get("pm-read-ns", ""), "--pm-read-ns", 1000000));
@@ -625,8 +620,6 @@ void apply_cold_tuning(core::DgapOptions& o, const StoreTuning& tuning,
   o.cold_tier = true;
   o.cold_tier_path = tuning.cold_file;
   o.cold_tier_budget_bytes = pool_mb << 20;
-  o.uring_depth = tuning.uring_depth;
-  o.cold_tier_pread = tuning.cold_pread;
 }
 
 void print_banner(const std::string& title, const BenchConfig& cfg) {
@@ -647,9 +640,7 @@ void print_banner(const std::string& title, const BenchConfig& cfg) {
   if (cfg.tuning.dram_cache_mb != 0)
     std::cout << " dram-cache=" << cfg.tuning.dram_cache_mb
               << "MB eviction=" << tier::eviction_name(cfg.tuning.eviction);
-  if (cfg.tuning.cold_tier)
-    std::cout << " cold-tier=on uring-depth=" << cfg.tuning.uring_depth
-              << (cfg.tuning.cold_pread ? " cold-io=pread" : "");
+  if (cfg.tuning.cold_tier) std::cout << " cold-tier=on";
   if (cfg.csr_cache) std::cout << " csr-cache=on";
   if (cfg.live_ingest)
     std::cout << " live-ingest=on live-producers=" << cfg.live_producers;

@@ -44,8 +44,6 @@ struct StoreTuning {
   // budget, so graphs larger than --pool-mb stay serveable.
   bool cold_tier = false;
   std::string cold_file;  // backing file; empty = unlinked temp file
-  std::uint32_t uring_depth = 64;
-  bool cold_pread = false;  // force the pread/pwrite fallback transport
 };
 
 // Virtual-over-physical headroom for --cold-tier pools: the address span
@@ -562,14 +560,12 @@ bool print_cold_tier_section(
     const std::function<const EdgeStream&(const std::string&)>& stream_for,
     KernelA&& kernel_a, KernelB&& kernel_b, std::ostream& os) {
   os << "\n--- DGAP SSD cold tier: " << a_label << " + " << b_label
-     << " with budget = resident/2 (uring-depth=" << cfg.tuning.uring_depth
-     << ", 1 thread) ---\n";
+     << " with budget = resident/2 (1 thread) ---\n";
   TablePrinter table({"Graph", "resident MB", "budget MB", "cold sect",
                       "full(s)", "cold(s)", "slowdown", "identical"});
   const par::ScopedKernelThreads one_thread(1);
   bool all_identical = true;
   tier::ColdStats totals;
-  const char* backend = "off";
   for (const auto& name : cfg.datasets) {
     const EdgeStream& stream = stream_for(name);
 
@@ -597,7 +593,6 @@ bool print_cold_tier_section(
     cold.store->set_cold_budget_bytes(budget);
     cold.store->cold_enforce_budget();
     const std::uint64_t cold_sections = cold.store->cold_stats().cold_sections;
-    backend = cold.store->cold_io_backend();
     const core::Snapshot cold_view = cold.store->consistent_view();
     Timer tc;
     const auto cold_a = kernel_a(cold_view, source);
@@ -609,6 +604,8 @@ bool print_cold_tier_section(
     totals.cold_reads += cs.cold_reads;
     totals.cold_read_bytes += cs.cold_read_bytes;
     totals.read_retries += cs.read_retries;
+    totals.read_reuses += cs.read_reuses;
+    totals.promote_vetoes += cs.promote_vetoes;
 
     const bool identical = full_a == cold_a && full_b == cold_b;
     all_identical = all_identical && identical;
@@ -621,12 +618,13 @@ bool print_cold_tier_section(
     if (!identical) break;
   }
   table.print(os);
-  os << "# cold-tier counters: io=" << backend
-     << " demotions=" << totals.demotions
+  os << "# cold-tier counters: demotions=" << totals.demotions
      << " promotions=" << totals.promotions
      << " cold_reads=" << totals.cold_reads
      << " cold_read_MB=" << totals.cold_read_bytes / (1u << 20)
-     << " read_retries=" << totals.read_retries << "\n";
+     << " read_retries=" << totals.read_retries
+     << " read_reuses=" << totals.read_reuses
+     << " promote_vetoes=" << totals.promote_vetoes << "\n";
   if (all_identical)
     os << "# cold-tier: kernel results verified identical constrained vs "
           "unconstrained; slowdown is the price of serving the overflow "

@@ -1,6 +1,6 @@
 // SSD cold-tier protocol: which pmem bytes move when, under which locks and
 // reader gates, and when the persisted residency word flips (mechanics —
-// file format, io_uring transport, EWMAs — live in src/tier/cold_tier.*).
+// file format, pread/pwrite transport, EWMAs — live in src/tier/cold_tier.*).
 //
 // Residency state machine (one persisted u64 per section, bit 63 = cold,
 // bits 0..62 = generation):
@@ -33,14 +33,29 @@
 //   lock across both steps, so no writer can append until the flip is
 //   durable.
 //
-// Lock-free cold reads (cold_read_if_cold / cold_probe_slot) revalidate the
+// Lock-free cold reads (cold_image_if_cold / cold_probe_slot) revalidate the
 // residency word around the file read: the image of section s is only ever
 // rewritten by a demotion, a demotion requires s to be RESIDENT first, and
 // every demotion bumps the generation — so observing the identical cold(g)
 // word before and after the read proves no writer touched the image in
 // between (an in-flight promotion only READS the file; an ABA would need a
 // promote + re-demote cycle, which changes g). Generations are monotone and
-// never reused.
+// never reused within a layout.
+//
+// The same argument lets a thread keep the image it read: while the word
+// still reads cold(g), the section is byte-for-byte what was validated, so
+// a later read of it — by any kernel, through any snapshot — is served from
+// that thread's copy with no file I/O. The reuse key is (store instance,
+// layout epoch, section, word): a resize starts a fresh residency map whose
+// generations restart at 0, and instance ids are never reused, so neither
+// a resize nor a second store can present a matching key for other bytes.
+//
+// Read-triggered promotion is scan-resistant (cold_read_may_promote): a
+// read may promote into free budget headroom, or when its section reads
+// clearly hotter than the next eviction victim. Iterative kernels sweep
+// every section each pass; promoting on every cold read would evict an
+// equally hot section (fdatasync + full reader-gate drain) that the next
+// pass promotes back.
 //
 // Lock ordering (consistent with rebalance.cpp): rebalance_mu_ -> budget
 // token -> section locks -> structural gate. The async promote task takes
@@ -48,6 +63,7 @@
 // against a resize that holds the token while waiting for section locks.
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -58,7 +74,29 @@
 
 namespace dgap::core {
 
+struct detail::ColdImage {
+  std::uint64_t instance = 0;  // 0 = empty (store instance ids start at 1)
+  std::uint64_t epoch = 0;
+  std::uint64_t sec = 0;
+  std::uint64_t word = 0;
+  std::vector<Slot> slots;
+};
+
 namespace {
+// This thread's cold-section images, one per emit nesting level.
+struct ColdImageStack {
+  std::vector<std::unique_ptr<detail::ColdImage>> levels;
+  std::size_t depth = 0;
+};
+thread_local ColdImageStack t_cold_images;
+
+// A read promotion past the budget headroom must read at least this many
+// times as hot as the next eviction victim (plus one, so an unread victim
+// still takes a few reads of evidence). Constant on purpose: it only has
+// to separate "hot" from "ties under a sweep", like the DRAM tier's
+// admission veto.
+constexpr std::uint64_t kColdPromoteLead = 4;
+
 // Demotion victim score: reads dominate (a read-hot section must never
 // leave pmem), churn weighted heavier because promoting for a WRITE also
 // pays the persist-back. Plain sum of saturating EWMAs — ordering is all
@@ -71,8 +109,6 @@ std::uint64_t heat_score(std::uint32_t read_rate, std::uint32_t churn_rate) {
 
 void DgapStore::cold_attach() {
   if (!opts_.cold_tier) return;
-  if (opts_.uring_depth == 0)
-    throw std::invalid_argument("cold tier: uring_depth must be >= 1");
 
   tier::ColdTierConfig cfg;
   cfg.path = opts_.cold_tier_path;
@@ -81,8 +117,6 @@ void DgapStore::cold_attach() {
   cfg.layout_id = root_->layout_off;
   cfg.num_sections = num_segments_;
   cfg.section_bytes = seg_slots_ * sizeof(Slot);
-  cfg.uring_depth = opts_.uring_depth;
-  cfg.force_pread = opts_.cold_tier_pread;
   cold_ = std::make_unique<tier::ColdTier>(cfg);
   cold_budget_bytes_.store(opts_.cold_tier_budget_bytes != 0
                                ? opts_.cold_tier_budget_bytes
@@ -124,23 +158,75 @@ bool DgapStore::cold_is_cold(std::uint64_t sec) const {
   return cold_ != nullptr && residency_is_cold(cold_residency_word(sec));
 }
 
-bool DgapStore::cold_read_if_cold(std::uint64_t sec,
-                                  std::vector<Slot>& buf) const {
-  if (cold_ == nullptr) return false;
+void detail::ColdImageLease::acquire() {
+  ColdImageStack& st = t_cold_images;
+  if (st.depth == st.levels.size())
+    st.levels.push_back(std::make_unique<ColdImage>());
+  img_ = st.levels[st.depth++].get();
+}
+
+void detail::ColdImageLease::release() { --t_cold_images.depth; }
+
+const Slot* DgapStore::cold_image_if_cold(
+    std::uint64_t sec, detail::ColdImageLease& lease) const {
   std::uint64_t w = cold_residency_word(sec);
-  if (DGAP_LIKELY(!residency_is_cold(w))) return false;
+  if (DGAP_LIKELY(!residency_is_cold(w))) {
+    // Feeds the victim score: a section being read stops looking demotable.
+    cold_->note_read(sec);
+    return nullptr;
+  }
+  detail::ColdImage& img = lease.image();
+  const std::uint64_t epoch = layout_epoch();
+  if (img.instance == instance_id_ && img.epoch == epoch && img.sec == sec &&
+      img.word == w) {
+    cold_->count_read_reuse();
+    return img.slots.data();
+  }
+  img.instance = 0;  // unkeyed until the new image validates
+  img.slots.resize(seg_slots_);
   for (;;) {
-    buf.resize(seg_slots_);
-    cold_->read_section(sec, buf.data());
+    cold_->read_section(sec, img.slots.data());
     const std::uint64_t w2 = cold_residency_word(sec);
     if (w2 == w) break;  // image provably untouched during the read
     cold_->count_read_retry();
-    if (!residency_is_cold(w2)) return false;  // promoted under us: use pmem
+    if (!residency_is_cold(w2)) return nullptr;  // promoted under us: pmem
     w = w2;
   }
+  img.instance = instance_id_;
+  img.epoch = epoch;
+  img.sec = sec;
+  img.word = w;
+  // Only file reads count toward a cold section's heat: a section one
+  // thread walks vertex by vertex costs one read, not one per vertex.
+  cold_->note_read(sec);
   cold_->count_cold_read(seg_slots_ * sizeof(Slot));
-  cold_schedule_promote(sec);
-  return true;
+  std::uint64_t reserved = 0;
+  if (cold_read_may_promote(sec, reserved))
+    cold_schedule_promote(sec, reserved);
+  return img.slots.data();
+}
+
+bool DgapStore::cold_read_may_promote(std::uint64_t sec,
+                                      std::uint64_t& reserved) const {
+  const std::uint64_t need = cold_section_pmem_bytes();
+  const std::uint64_t budget =
+      cold_budget_bytes_.load(std::memory_order_relaxed);
+  std::uint64_t held = cold_promote_reserved_.load(std::memory_order_relaxed);
+  while (pool_.resident_bytes() + held + need <= budget) {
+    if (cold_promote_reserved_.compare_exchange_weak(
+            held, held + need, std::memory_order_relaxed)) {
+      reserved = need;
+      return true;
+    }
+  }
+  const std::uint64_t mark = cold_evict_mark_.load(std::memory_order_relaxed);
+  if (mark < cold_->num_sections()) {
+    const std::uint64_t victim =
+        heat_score(cold_->read_rate(mark), cold_->churn_rate(mark));
+    if (cold_->read_rate(sec) > kColdPromoteLead * (victim + 1)) return true;
+  }
+  cold_->count_promote_veto();
+  return false;
 }
 
 Slot DgapStore::cold_probe_slot(std::uint64_t pos) const {
@@ -192,33 +278,42 @@ void DgapStore::cold_promote(std::uint64_t sec) {
   meta.lock.unlock();
 }
 
-void DgapStore::cold_schedule_promote(std::uint64_t sec) const {
+void DgapStore::cold_schedule_promote(std::uint64_t sec,
+                                      std::uint64_t reserved) const {
+  auto* self = const_cast<DgapStore*>(this);
+  // Hands the headroom back and clears the dedup flag: runs exactly once,
+  // whether the promotion ran, threw, or never got queued.
+  const auto settle = [self, sec, reserved] {
+    self->cold_promote_reserved_.fetch_sub(reserved,
+                                           std::memory_order_relaxed);
+    self->cold_promote_pending_[sec % kColdPendingSlots].store(
+        0, std::memory_order_release);
+  };
   std::uint8_t expected = 0;
   if (!cold_promote_pending_[sec % kColdPendingSlots].compare_exchange_strong(
-          expected, 1, std::memory_order_acq_rel))
-    return;  // a promotion for this (hashed) section is already queued
-  auto* self = const_cast<DgapStore*>(this);
+          expected, 1, std::memory_order_acq_rel)) {
+    // A promotion for this (hashed) section is already queued.
+    cold_promote_reserved_.fetch_sub(reserved, std::memory_order_relaxed);
+    return;
+  }
   self->rebalance_wg_.add(1);
   try {
     sched::TaskScheduler::global().submit(
-        [self, sec] {
+        [self, sec, settle] {
           try {
             self->cold_promote(sec);
           } catch (...) {
-            self->cold_promote_pending_[sec % kColdPendingSlots].store(
-                0, std::memory_order_release);
+            settle();
             self->rebalance_wg_.done();
             throw;  // scheduler counts task exceptions
           }
-          self->cold_promote_pending_[sec % kColdPendingSlots].store(
-              0, std::memory_order_release);
+          settle();
           self->cold_maybe_schedule_enforce();
           self->rebalance_wg_.done();
         },
         sched::Priority::low);
   } catch (...) {
-    cold_promote_pending_[sec % kColdPendingSlots].store(
-        0, std::memory_order_release);
+    settle();
     self->rebalance_wg_.done();
   }
 }
@@ -281,10 +376,10 @@ void DgapStore::cold_enforce_budget_locked() {
   cold_->decay_rates();
   const std::uint64_t budget_bytes =
       cold_budget_bytes_.load(std::memory_order_relaxed);
-  if (pool_.resident_bytes() <= budget_bytes) return;
   // Victims: resident, write-quiet sections, coldest first. The elog check
   // here is a racy pre-filter — cold_demote_one re-validates under the
-  // section lock.
+  // section lock. The pass runs even within budget: it refreshes the
+  // eviction mark read promotions are judged against.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
   victims.reserve(num_segments_);
   for (std::uint64_t sec = 0; sec < num_segments_; ++sec) {
@@ -294,10 +389,15 @@ void DgapStore::cold_enforce_budget_locked() {
         heat_score(cold_->read_rate(sec), cold_->churn_rate(sec)), sec);
   }
   std::sort(victims.begin(), victims.end());
+  std::uint64_t mark = kNoColdMark;
   for (const auto& [score, sec] : victims) {
-    if (pool_.resident_bytes() <= budget_bytes) break;
+    if (pool_.resident_bytes() <= budget_bytes) {
+      mark = sec;
+      break;
+    }
     cold_demote_one(sec);
   }
+  cold_evict_mark_.store(mark, std::memory_order_relaxed);
 }
 
 void DgapStore::cold_maybe_schedule_enforce() {

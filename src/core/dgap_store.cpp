@@ -93,6 +93,7 @@ void DgapStore::adopt_layout(const DgapLayout& l) {
     // adopting, so the stamp identifies the layout now live.
     cold_->reconfigure(root_->layout_off, num_segments_,
                        seg_slots_ * sizeof(Slot));
+    cold_evict_mark_.store(kNoColdMark, std::memory_order_relaxed);
   }
 
   // (Re)shape the DRAM hot tier for this layout's section geometry. Every
@@ -325,6 +326,10 @@ void DgapStore::register_metrics() {
                  [](const tier::ColdStats& s) { return s.promoted_bytes; });
     cold_counter("read_retries",
                  [](const tier::ColdStats& s) { return s.read_retries; });
+    cold_counter("read_reuses",
+                 [](const tier::ColdStats& s) { return s.read_reuses; });
+    cold_counter("promote_vetoes",
+                 [](const tier::ColdStats& s) { return s.promote_vetoes; });
     metric_handles_.push_back(reg.add_gauge(cp + "sections", [this] {
       return static_cast<double>(cold_->cold_sections());
     }));

@@ -51,6 +51,33 @@
 
 namespace dgap::core {
 
+namespace detail {
+struct ColdImage;  // cold_ops.cpp
+// One nesting level of this thread's reusable cold-section image
+// (cold_ops.cpp). Each emit_run_frozen holds a lease and takes its level
+// on the first cold section it meets; an emit callback that reads a store
+// again takes the next level, so it can never overwrite the image its
+// caller is still emitting from.
+class ColdImageLease {
+ public:
+  ColdImageLease() = default;
+  ~ColdImageLease() {
+    if (img_ != nullptr) release();
+  }
+  ColdImageLease(const ColdImageLease&) = delete;
+  ColdImageLease& operator=(const ColdImageLease&) = delete;
+  ColdImage& image() {
+    if (img_ == nullptr) acquire();
+    return *img_;
+  }
+
+ private:
+  void acquire();
+  void release();
+  ColdImage* img_ = nullptr;
+};
+}  // namespace detail
+
 // Operation counters exposed for benches and the ablation analysis.
 // Relaxed atomic cells (StatCell): concurrent writer threads bump them on
 // the hot path while benches/tests read them unsynchronized, so plain
@@ -195,9 +222,6 @@ class DgapStore {
   [[nodiscard]] bool cold_tier_active() const { return cold_ != nullptr; }
   [[nodiscard]] tier::ColdStats cold_stats() const {
     return cold_ ? cold_->stats() : tier::ColdStats{};
-  }
-  [[nodiscard]] const char* cold_io_backend() const {
-    return cold_ ? cold_->io_backend() : "off";
   }
   // Pool bytes currently believed resident (allocator bump minus demoted
   // sections) — what the demotion pass compares against the budget.
@@ -455,15 +479,21 @@ class DgapStore {
 
   // --- SSD cold tier protocol (cold_ops.cpp) --------------------------------
   // Which pmem bytes move when, under which locks/gates, and when the
-  // persisted residency word flips. Mechanics (file, io_uring, EWMAs) live
+  // persisted residency word flips. Mechanics (file, pread, EWMAs) live
   // in tier::ColdTier; see cold_ops.cpp for the full crash-safety argument.
   void cold_attach();                  // create/open the tier after adopt
   [[nodiscard]] std::uint64_t cold_residency_word(std::uint64_t sec) const;
   [[nodiscard]] bool cold_is_cold(std::uint64_t sec) const;
-  // Reader path: when `sec` is cold, fill `buf` with its slot image from
-  // the backing file (generation-revalidated against promote/demote churn)
-  // and return true; false = resident, read pmem. Takes no locks.
-  bool cold_read_if_cold(std::uint64_t sec, std::vector<Slot>& buf) const;
+  // Reader path: when `sec` is cold, return its slot image from this
+  // thread's image cache, reading the backing file only when the cached
+  // image is not provably current (generation-revalidated against
+  // promote/demote churn); nullptr = resident, read pmem. Takes no locks.
+  const Slot* cold_image_if_cold(std::uint64_t sec,
+                                 detail::ColdImageLease& lease) const;
+  // Scan-resistant placement for a read of cold `sec`: true when it may be
+  // promoted (reserving budget headroom into `reserved`).
+  bool cold_read_may_promote(std::uint64_t sec,
+                             std::uint64_t& reserved) const;
   // Single-slot probe for rebalance boundary walks: pmem when resident,
   // the cold image otherwise (same revalidation loop). Takes no locks.
   [[nodiscard]] Slot cold_probe_slot(std::uint64_t pos) const;
@@ -473,8 +503,9 @@ class DgapStore {
   // Promotion that takes the section lock itself (async task body).
   void cold_promote(std::uint64_t sec);
   // Enqueue an async promotion on the scheduler's low lane (reader hits on
-  // cold sections). Deduped per section; tracked in rebalance_wg_.
-  void cold_schedule_promote(std::uint64_t sec) const;
+  // cold sections). Deduped per section; tracked in rebalance_wg_. The task
+  // hands back `reserved` headroom bytes once the promotion settled.
+  void cold_schedule_promote(std::uint64_t sec, std::uint64_t reserved) const;
   // Demote one section. Caller holds rebalance_mu_ (windowed-gate
   // contract); returns false when the section became ineligible.
   bool cold_demote_one(std::uint64_t sec);
@@ -611,6 +642,14 @@ class DgapStore {
   // same stability rules as slots_.
   std::uint64_t* residency_ = nullptr;
   std::atomic<std::uint64_t> cold_budget_bytes_{0};
+  // Budget headroom claimed by queued read promotions, so concurrent
+  // readers cannot all promote into the same free bytes.
+  mutable std::atomic<std::uint64_t> cold_promote_reserved_{0};
+  // The coldest resident section the last budget pass left in place — the
+  // next eviction victim — or kNoColdMark. A read promotion beyond the
+  // headroom must out-read it by kColdPromoteLead (cold_ops.cpp).
+  static constexpr std::uint64_t kNoColdMark = ~0ull;
+  std::atomic<std::uint64_t> cold_evict_mark_{kNoColdMark};
   // Async promote dedup (at most one in-flight promotion per section) + one
   // in-flight budget pass. Fixed-size hashed flags, touch_marks_-style: a
   // resize must never reallocate storage an already-queued task still
@@ -734,7 +773,7 @@ bool DgapStore::emit_run_frozen(std::uint64_t first, std::uint32_t count,
                                 F&& emit) const {
   std::uint64_t pos = first;
   std::uint32_t left = count;
-  thread_local std::vector<Slot> cold_scratch;  // cold-section file staging
+  detail::ColdImageLease cold_image;  // this run's level of the image cache
   while (left > 0) {
     const std::uint64_t sec = sec_of(pos);
     const std::uint64_t sec_base = sec << seg_shift_;
@@ -743,15 +782,13 @@ bool DgapStore::emit_run_frozen(std::uint64_t first, std::uint32_t count,
     const Slot* src = nullptr;
     tier::SectionCache::Pin pin;
     if (DGAP_UNLIKELY(cold_ != nullptr)) {
-      // Feed the placement EWMA first so a section being read stops looking
-      // demotable, then serve straight from the file buffer if it is cold
-      // (an async promotion is scheduled inside; this read never waits on
-      // it). The residency probe happens AFTER read_frozen_range acquired
-      // arr_count — the ordering the cold-read correctness argument in
-      // cold_ops.cpp depends on.
-      cold_->note_read(sec);
-      if (cold_read_if_cold(sec, cold_scratch))
-        src = cold_scratch.data() + (pos - sec_base);
+      // Serve a cold section from this thread's image of it (a promotion
+      // may be scheduled inside; this read never waits on it). The
+      // residency probe happens AFTER read_frozen_range acquired arr_count
+      // — the ordering the cold-read correctness argument in cold_ops.cpp
+      // depends on.
+      if (const Slot* img = cold_image_if_cold(sec, cold_image))
+        src = img + (pos - sec_base);
     }
     if (src == nullptr && DGAP_UNLIKELY(cache_ != nullptr)) {
       pin = cache_->acquire(sec);

@@ -97,8 +97,8 @@ struct DgapOptions {
   bool offload_tier_evict = false;
 
   // --- SSD cold tier (src/tier/cold_tier.hpp) -------------------------------
-  // Demote cold+write-quiet sections from the pmem pool to an
-  // io_uring-backed file and serve/promote them on access, so graphs whose
+  // Demote cold+write-quiet sections from the pmem pool to a backing file
+  // and serve/promote them on access, so graphs whose
   // edge array exceeds the pool's physical budget stay serveable. The
   // residency map is persisted (crash-safe; see persistent_layout.hpp);
   // these knobs themselves are volatile and may differ between runs.
@@ -111,11 +111,6 @@ struct DgapOptions {
   // Benches that overcommit the pool's virtual size set this to the
   // physical --pool-mb budget.
   std::uint64_t cold_tier_budget_bytes = 0;
-  // io_uring SQ depth for section image transfers (>= 1).
-  std::uint32_t uring_depth = 64;
-  // Force the pread/pwrite fallback even when the kernel has io_uring
-  // (determinism for tests/CI on any container).
-  bool cold_tier_pread = false;
 
   // --- ablation switches (paper Table 5) -----------------------------------
   // false => "No EL": inserts landing on occupied slots do a nearby shift.

@@ -223,7 +223,7 @@ class SnapshotCsr {
   //    (v, seq) — the CSR's exact layout order — and the dst column is the
   //    neighbor array. One for_each_out walk per vertex instead of two,
   //    which matters once the walk misses DRAM: with the SSD cold tier on,
-  //    each walk of a cold section is an io_uring read, and the two-sweep
+  //    each walk of a cold section is a file read, and the two-sweep
   //    build paid it twice.
   template <typename View>
   static SnapshotCsr build(const View& view) {

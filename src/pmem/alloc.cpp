@@ -1,5 +1,6 @@
 #include "src/pmem/alloc.hpp"
 
+#include <atomic>
 #include <mutex>
 #include <new>
 
@@ -44,7 +45,9 @@ std::uint64_t PmemAllocator::alloc(std::uint64_t size, std::uint64_t align) {
   const std::uint64_t alloc_size = cls >= 0 ? class_size(cls) : size;
   const std::uint64_t off = round_up(h->alloc_bump, align);
   if (off + alloc_size > pool_.size()) throw PoolCapacityError{};
-  h->alloc_bump = off + alloc_size;
+  // Atomic store: resident_bytes() reads the bump without this lock.
+  std::atomic_ref<std::uint64_t>(h->alloc_bump)
+      .store(off + alloc_size, std::memory_order_relaxed);
   pool_.persist(&h->alloc_bump, sizeof(h->alloc_bump));
   return off;
 }

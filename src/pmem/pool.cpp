@@ -229,7 +229,10 @@ void PmemPool::reclaim_physical(std::uint64_t, std::uint64_t len) {
 }
 
 std::uint64_t PmemPool::resident_bytes() const {
-  const std::uint64_t used = header()->alloc_bump;
+  // Lock-free readers (cold-tier read promotion) race allocations.
+  const std::uint64_t used =
+      std::atomic_ref<std::uint64_t>(header()->alloc_bump)
+          .load(std::memory_order_relaxed);
   const std::uint64_t p = punched_.load(std::memory_order_relaxed);
   return used > p ? used - p : 0;
 }

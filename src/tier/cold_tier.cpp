@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <system_error>
 
@@ -30,18 +28,35 @@ struct Super {
 
 std::uint64_t round_up_4k(std::uint64_t v) { return (v + 4095) & ~4095ull; }
 
+// Positional transfer of exactly `len` bytes: retries EINTR and short I/O.
+void full_io(int fd, bool is_write, std::uint64_t off, void* buf,
+             std::size_t len) {
+  char* p = static_cast<char*>(buf);
+  while (len > 0) {
+    const ssize_t rc = is_write ? ::pwrite(fd, p, len, static_cast<off_t>(off))
+                                : ::pread(fd, p, len, static_cast<off_t>(off));
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      throw_errno(is_write ? "pwrite" : "pread");
+    }
+    if (rc == 0) {
+      errno = EIO;
+      throw_errno("short io (eof)");
+    }
+    p += rc;
+    off += static_cast<std::uint64_t>(rc);
+    len -= static_cast<std::size_t>(rc);
+  }
+}
+
 }  // namespace
 
 ColdTier::ColdTier(const ColdTierConfig& cfg)
     : path_(cfg.path),
       num_sections_(cfg.num_sections),
-      section_bytes_(cfg.section_bytes),
-      depth_(cfg.uring_depth),
-      force_pread_(cfg.force_pread) {
+      section_bytes_(cfg.section_bytes) {
   if (num_sections_ == 0 || section_bytes_ == 0)
     throw std::invalid_argument("cold_tier: empty geometry");
-  if (cfg.uring_depth == 0)
-    throw std::invalid_argument("cold_tier: uring depth must be >= 1");
 
   if (path_.empty()) {
     char tmpl[] = "/tmp/dgap-cold-XXXXXX";
@@ -54,8 +69,6 @@ ColdTier::ColdTier(const ColdTierConfig& cfg)
     if (fd_ < 0) throw_errno("open(" + path_ + ")");
   }
 
-  io_ = std::make_unique<UringIo>(fd_, depth_, force_pread_);
-  alloc_bounce();
   alloc_rates();
 
   images_base_ = round_up_4k(4096 + 8 * num_sections_);
@@ -74,16 +87,7 @@ ColdTier::ColdTier(const ColdTierConfig& cfg)
 }
 
 ColdTier::~ColdTier() {
-  io_.reset();  // ring references fd_; tear it down first
-  if (bounce_ != nullptr) std::free(bounce_);
   if (fd_ >= 0) ::close(fd_);
-}
-
-void ColdTier::alloc_bounce() {
-  bounce_len_ = static_cast<std::size_t>(round_up_4k(section_bytes_));
-  bounce_ = std::aligned_alloc(4096, bounce_len_);
-  if (bounce_ == nullptr) throw std::bad_alloc();
-  io_->register_buffer(bounce_, bounce_len_);  // best-effort fixed buffer
 }
 
 void ColdTier::alloc_rates() {
@@ -106,24 +110,17 @@ void ColdTier::init_file(std::uint64_t layout_id) {
   if (::ftruncate(fd_, full) != 0) throw_errno("ftruncate(full)");
   Super sb{kColdMagic, kColdVersion, layout_id, num_sections_,
            section_bytes_};
-  io_->write(0, &sb, sizeof(sb));
-  io_->datasync();
+  full_io(fd_, true, 0, &sb, sizeof(sb));
+  if (::fdatasync(fd_) != 0) throw_errno("fdatasync");
   adopted_existing_ = false;
 }
 
 void ColdTier::reconfigure(std::uint64_t layout_id,
                            std::uint64_t num_sections,
                            std::uint64_t section_bytes) {
-  std::lock_guard<std::mutex> g(bounce_mu_);
   num_sections_ = num_sections;
   section_bytes_ = section_bytes;
   images_base_ = round_up_4k(4096 + 8 * num_sections_);
-  // The fixed-buffer registration is per-ring; simplest correct reshape is
-  // a fresh ring + bounce sized for the new section geometry.
-  io_ = std::make_unique<UringIo>(fd_, depth_, force_pread_);
-  std::free(bounce_);
-  bounce_ = nullptr;
-  alloc_bounce();
   alloc_rates();
   init_file(layout_id);
   cold_sections_.store(0, std::memory_order_relaxed);
@@ -131,30 +128,27 @@ void ColdTier::reconfigure(std::uint64_t layout_id,
 
 void ColdTier::write_section(std::uint64_t sec, const void* src,
                              std::uint64_t gen) {
-  std::lock_guard<std::mutex> g(bounce_mu_);
-  // Bounce through the registered buffer so the bulk write goes out as
-  // WRITE_FIXED SQEs when the ring is up.
-  std::memcpy(bounce_, src, static_cast<std::size_t>(section_bytes_));
-  io_->write(image_off(sec), bounce_,
-             static_cast<std::size_t>(section_bytes_));
-  io_->write(gen_off(sec), &gen, sizeof(gen));
-  io_->datasync();
+  full_io(fd_, true, image_off(sec), const_cast<void*>(src),
+          static_cast<std::size_t>(section_bytes_));
+  full_io(fd_, true, gen_off(sec), &gen, sizeof(gen));
+  if (::fdatasync(fd_) != 0) throw_errno("fdatasync");
 }
 
 void ColdTier::read_section(std::uint64_t sec, void* dst) {
-  io_->read(image_off(sec), dst, static_cast<std::size_t>(section_bytes_));
+  full_io(fd_, false, image_off(sec), dst,
+          static_cast<std::size_t>(section_bytes_));
 }
 
 std::uint64_t ColdTier::read_slot_word(std::uint64_t sec,
                                        std::uint64_t slot_idx) {
   std::uint64_t w = 0;
-  io_->read(image_off(sec) + slot_idx * 8, &w, sizeof(w));
+  full_io(fd_, false, image_off(sec) + slot_idx * 8, &w, sizeof(w));
   return w;
 }
 
 std::uint64_t ColdTier::file_gen(std::uint64_t sec) {
   std::uint64_t g = 0;
-  io_->read(gen_off(sec), &g, sizeof(g));
+  full_io(fd_, false, gen_off(sec), &g, sizeof(g));
   return g;
 }
 
@@ -176,8 +170,9 @@ ColdStats ColdTier::stats() const {
   s.demoted_bytes = demoted_bytes_.load(std::memory_order_relaxed);
   s.promoted_bytes = promoted_bytes_.load(std::memory_order_relaxed);
   s.read_retries = read_retries_.load(std::memory_order_relaxed);
+  s.read_reuses = read_reuses_.load(std::memory_order_relaxed);
+  s.promote_vetoes = promote_vetoes_.load(std::memory_order_relaxed);
   s.cold_sections = cold_sections_.load(std::memory_order_relaxed);
-  s.io = io_->stats();
   return s;
 }
 

@@ -5,12 +5,12 @@
 // the pool to a section-aligned backing file when they are read-cold and
 // write-quiet (per-section read/churn EWMAs, same admission idiom the DRAM
 // tier uses), and promoted back on access. This class owns the mechanics:
-// the backing file and its format, the io_uring/pread transport
-// (src/tier/uring_io.hpp), per-section generation stamps, the EWMAs, and
-// the cold_* stat cells. The *protocol* — which pmem bytes move when, under
-// which locks and reader gates, and when the persisted residency word flips
-// — lives in DgapStore (src/core/cold_ops.cpp), because it is inseparable
-// from the store's locking and crash-consistency rules.
+// the backing file and its format, the pread/pwrite/fdatasync transport,
+// per-section generation stamps, the EWMAs, and the cold_* stat cells. The
+// *protocol* — which pmem bytes move when, under which locks and reader
+// gates, when the persisted residency word flips, and when a read may
+// promote — lives in DgapStore (src/core/cold_ops.cpp), because it is
+// inseparable from the store's locking and crash-consistency rules.
 //
 // File format (little-endian, sparse):
 //   [0, 4096)                      superblock {magic, version, layout_id,
@@ -27,11 +27,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "src/obs/latency_histogram.hpp"
-#include "src/tier/uring_io.hpp"
 
 namespace dgap::tier {
 
@@ -43,8 +41,6 @@ struct ColdTierConfig {
   std::uint64_t layout_id = 0;  // identifies the layout (root layout_off)
   std::uint64_t num_sections = 0;
   std::uint64_t section_bytes = 0;  // slot-image bytes per section
-  unsigned uring_depth = 64;
-  bool force_pread = false;  // --cold-tier-pread: skip io_uring entirely
 };
 
 struct ColdStats {
@@ -55,8 +51,9 @@ struct ColdStats {
   std::uint64_t demoted_bytes = 0;    // pmem bytes released, cumulative
   std::uint64_t promoted_bytes = 0;   // pmem bytes reclaimed, cumulative
   std::uint64_t read_retries = 0;     // gen-revalidation retries (churn)
+  std::uint64_t read_reuses = 0;      // cold reads served by a reused image
+  std::uint64_t promote_vetoes = 0;   // read promotions the placement refused
   std::uint64_t cold_sections = 0;    // currently demoted
-  UringStats io;
 };
 
 class ColdTier {
@@ -75,13 +72,12 @@ class ColdTier {
   void reconfigure(std::uint64_t layout_id, std::uint64_t num_sections,
                    std::uint64_t section_bytes);
 
-  [[nodiscard]] const char* io_backend() const { return io_->backend(); }
   [[nodiscard]] std::uint64_t num_sections() const { return num_sections_; }
   [[nodiscard]] std::uint64_t section_bytes() const { return section_bytes_; }
 
   // --- section image I/O ---------------------------------------------------
   // Write a section image + its generation stamp and make both durable.
-  // Serialized internally (shares the registered bounce buffer).
+  // Callers serialize demotions (rebalance_mu_).
   void write_section(std::uint64_t sec, const void* src, std::uint64_t gen);
   // Read a full image into dst (concurrent-safe; positional reads).
   void read_section(std::uint64_t sec, void* dst);
@@ -124,6 +120,12 @@ class ColdTier {
   void count_read_retry() {
     read_retries_.fetch_add(1, std::memory_order_relaxed);
   }
+  void count_read_reuse() {
+    read_reuses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void count_promote_veto() {
+    promote_vetoes_.fetch_add(1, std::memory_order_relaxed);
+  }
   void set_cold_sections(std::uint64_t n) {
     cold_sections_.store(n, std::memory_order_relaxed);
   }
@@ -147,7 +149,6 @@ class ColdTier {
     return 4096 + sec * 8;
   }
   void init_file(std::uint64_t layout_id);
-  void alloc_bounce();
   void alloc_rates();
 
   int fd_ = -1;
@@ -155,13 +156,7 @@ class ColdTier {
   std::uint64_t num_sections_ = 0;
   std::uint64_t section_bytes_ = 0;
   std::uint64_t images_base_ = 0;
-  unsigned depth_ = 64;
-  bool force_pread_ = false;
   bool adopted_existing_ = false;
-  std::unique_ptr<UringIo> io_;
-  std::mutex bounce_mu_;  // serializes demote/promote bulk transfers
-  void* bounce_ = nullptr;  // page-aligned, registered as uring fixed buffer
-  std::size_t bounce_len_ = 0;
 
   std::unique_ptr<std::atomic<std::uint32_t>[]> read_rate_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> churn_rate_;
@@ -173,6 +168,8 @@ class ColdTier {
   std::atomic<std::uint64_t> demoted_bytes_{0};
   std::atomic<std::uint64_t> promoted_bytes_{0};
   std::atomic<std::uint64_t> read_retries_{0};
+  std::atomic<std::uint64_t> read_reuses_{0};
+  std::atomic<std::uint64_t> promote_vetoes_{0};
   std::atomic<std::uint64_t> cold_sections_{0};
   obs::LatencyHistogram demote_hist_;
   obs::LatencyHistogram promote_hist_;
