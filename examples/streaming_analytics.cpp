@@ -32,8 +32,8 @@
 //                                      [--metrics-out F [--metrics-interval-ms N]]
 //                                      [--trace-out F]
 //
-// --threads sizes the process TaskScheduler (absorbers, offloaded
-// structural work, and — with --sched — the analysis kernels all share its
+// --threads sizes the process TaskScheduler (absorbers, cold-tier
+// promotion/demotion, and — with --sched — the analysis kernels all share its
 // workers); --sched routes the per-round PR/CC onto the scheduler instead
 // of OpenMP. Each round reports the scheduler's steal rate and queue depth
 // next to the ingest telemetry, and --metrics-out samples the sched_*
@@ -298,8 +298,8 @@ int main(int argc, char** argv) {
       std::cout << order[k] << ":" << std::fixed << std::setprecision(5)
                 << pr[order[k]] << (k < 2 ? ", " : "\n");
 
-    // Scheduler health for the same interval: absorbers, offloaded
-    // structural work and (with --sched) the kernels all share its workers,
+    // Scheduler health for the same interval: absorbers, cold-tier
+    // maintenance and (with --sched) the kernels all share its workers,
     // so a climbing queue depth here is the first sign analysis is starving
     // ingest.
     const sched::SchedStats ss = sched::TaskScheduler::global().stats();

@@ -61,8 +61,8 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 
 # Smoke-run the DRAM hot tier: read-charged kernels, cache-off vs cache-on
 # (the section also verifies cache-on results match cache-off exactly).
-./build/fig7_pr_cc --dram-cache=64 --eviction=clock --datasets=orkut \
-  --scale=0.02 --system=dgap --pool-mb=256
+./build/fig7_pr_cc --dram-cache=64 --datasets=orkut --scale=0.02 \
+  --system=dgap --pool-mb=256
 
 # Smoke-run the SSD cold tier under real capacity pressure: --pool-mb=2 is
 # far below the graph's footprint, so the run only completes if demotion
@@ -155,9 +155,7 @@ expect_reject ./build/fig7_pr_cc --live-producers=-2
 expect_reject ./build/table4_analysis_scalability --live-producers=0
 expect_reject ./build/fig7_pr_cc --dram-cache=nope
 expect_reject ./build/fig7_pr_cc --dram-cache=-8
-expect_reject ./build/fig7_pr_cc --eviction=turbo
 expect_reject ./build/fig8_bfs_bc --dram-cache=0x
-expect_reject ./build/table4_analysis_scalability --eviction=mru
 expect_reject ./build/fig7_pr_cc --pm-read-ns=nope
 expect_reject ./build/fig7_pr_cc --incremental
 expect_reject ./build/table4_analysis_scalability --incremental

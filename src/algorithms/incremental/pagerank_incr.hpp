@@ -37,6 +37,7 @@
 
 #include "src/algorithms/graph_view.hpp"
 #include "src/algorithms/incremental/frontier.hpp"
+#include "src/algorithms/pagerank.hpp"
 #include "src/core/snapshot_delta.hpp"
 
 namespace dgap::algorithms {
@@ -71,30 +72,13 @@ IncrementalPageRankResult incremental_pagerank(
   const double base = (1.0 - params.damping) / nd;
 
   std::vector<double> contrib(static_cast<std::size_t>(n), 0.0);
-  // Full pull iterations (the same update rule as pagerank.hpp) until one
-  // iteration's total L1 change drops below tolerance: the shared stopping
-  // criterion that makes incremental and full comparable.
+  // Full pull sweeps (pagerank.hpp's own) until one sweep's total L1
+  // change drops below tolerance: the shared stopping criterion that makes
+  // incremental and full comparable.
   const auto sweep_to_tolerance = [&](std::vector<double>& score) {
     for (int s = 0; s < params.max_iterations; ++s) {
-      double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-      for (NodeId v = 0; v < n; ++v) {
-        const std::int64_t deg = g.out_degree(v);
-        if (deg > 0)
-          contrib[v] = score[v] / static_cast<double>(deg);
-        else
-          dangling += score[v];
-      }
-      const double dangling_share = params.damping * dangling / nd;
-      double change = 0.0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : change)
-      for (NodeId v = 0; v < n; ++v) {
-        double incoming = 0.0;
-        g.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
-        const double next = base + dangling_share + params.damping * incoming;
-        change += next > score[v] ? next - score[v] : score[v] - next;
-        score[v] = next;
-      }
+      const double change =
+          pagerank_sweep(g, params.damping, score, contrib);
       ++r.iterations;
       r.active_vertices += static_cast<std::uint64_t>(n);
       if (change < params.tolerance) break;
@@ -125,15 +109,7 @@ IncrementalPageRankResult incremental_pagerank(
   // the dangling set may have changed, and the full kernel this verifies
   // against sees exactly these. One division per vertex here keeps the
   // frontier pulls division-free (they read contrib[], not score/degree).
-  double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-  for (NodeId v = 0; v < n; ++v) {
-    const std::int64_t deg = g.out_degree(v);
-    if (deg > 0)
-      contrib[v] = score[v] / static_cast<double>(deg);
-    else
-      dangling += score[v];
-  }
+  const double dangling = pagerank_contributions(g, score, contrib);
   const double dangling_share = params.damping * dangling / nd;
   const double eps = params.tolerance / nd;
 

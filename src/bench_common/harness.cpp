@@ -81,8 +81,6 @@ BenchConfig parse_common(const Cli& cli, double default_scale,
     cfg.tuning.dram_cache_mb =
         static_cast<std::uint32_t>(parse_positive_int_capped(
             cli.get("dram-cache", ""), "--dram-cache", 1 << 20));
-  if (cli.has("eviction"))
-    cfg.tuning.eviction = tier::parse_eviction(cli.get("eviction", ""));
   // Tier toggles are parsed strictly (unlike get_bool, which maps any
   // unknown token to false): silently ignoring a typo here would make a
   // capacity-constrained run fail much later with a confusing OOM.
@@ -340,7 +338,6 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
   o.ingest_profile = cfg.tuning.profile;
   o.section_slots_hint = cfg.tuning.section_slots;
   o.dram_cache_mb = cfg.tuning.dram_cache_mb;
-  o.eviction = cfg.tuning.eviction;
   auto store = core::DgapStore::create(*pool, o);
 
   const auto all = stream.all();
@@ -579,7 +576,6 @@ LoadedDgap load_dgap_for_analysis(const EdgeStream& stream,
   o.ingest_profile = tuning.profile;
   o.section_slots_hint = tuning.section_slots;
   o.dram_cache_mb = tuning.dram_cache_mb;
-  o.eviction = tuning.eviction;
   apply_cold_tuning(o, tuning, pool_mb);
   l.store = core::DgapStore::create(*l.pool, o);
   constexpr std::size_t kChunk = 8192;
@@ -638,8 +634,7 @@ void print_banner(const std::string& title, const BenchConfig& cfg) {
   else if (cfg.absorb_min != 0)
     std::cout << " absorb-min=" << cfg.absorb_min;
   if (cfg.tuning.dram_cache_mb != 0)
-    std::cout << " dram-cache=" << cfg.tuning.dram_cache_mb
-              << "MB eviction=" << tier::eviction_name(cfg.tuning.eviction);
+    std::cout << " dram-cache=" << cfg.tuning.dram_cache_mb << "MB";
   if (cfg.tuning.cold_tier) std::cout << " cold-tier=on";
   if (cfg.csr_cache) std::cout << " csr-cache=on";
   if (cfg.live_ingest)
@@ -701,7 +696,6 @@ class DgapModel final : public IStore {
     o.ingest_profile = tuning.profile;
     o.section_slots_hint = tuning.section_slots;
     o.dram_cache_mb = tuning.dram_cache_mb;
-    o.eviction = tuning.eviction;
     // Cold-tier pools come from fresh_pool_for(), whose span is the
     // physical budget times kColdVirtualFactor — recover the budget.
     if (tuning.cold_tier)
@@ -931,7 +925,6 @@ std::unique_ptr<IStore> make_sharded_store(int shards, NodeId vertices,
   o.dgap.section_slots_hint = tuning.section_slots;
   // Global budget: shard_options slices it evenly across shards.
   o.dgap.dram_cache_mb = tuning.dram_cache_mb;
-  o.dgap.eviction = tuning.eviction;
   o.shards = static_cast<std::size_t>(std::max(shards, 1));
   // Split the budget so every shard count runs with the same TOTAL pool
   // memory as the S=1 baseline (a bigger aggregate would skew the

@@ -30,13 +30,12 @@
 namespace dgap::bench {
 
 // DGAP-specific store tuning surfaced on the bench CLIs (--ingest-profile,
-// --section-slots, --dram-cache, --eviction). Baseline systems ignore it.
+// --section-slots, --dram-cache, --cold-tier). Baseline systems ignore it.
 struct StoreTuning {
   core::IngestProfile profile = core::IngestProfile::balanced;
   std::uint64_t section_slots = 0;  // explicit hint; 0 = profile default
   // DRAM hot tier over the pmem edge array (src/tier/): 0 disables.
   std::uint32_t dram_cache_mb = 0;
-  tier::Eviction eviction = tier::Eviction::lru;
   // SSD cold tier below the pmem pool (src/tier/cold_tier.*): with
   // --cold-tier on, --pool-mb becomes the PHYSICAL pmem budget — the pool
   // is created with kColdVirtualFactor x the virtual span and the tier
@@ -475,8 +474,7 @@ bool print_dram_cache_section(
     KernelA&& kernel_a, KernelB&& kernel_b, std::ostream& os) {
   os << "\n--- DGAP DRAM hot tier: " << a_label << " + " << b_label
      << " (--dram-cache=" << cfg.tuning.dram_cache_mb
-     << "MB eviction=" << tier::eviction_name(cfg.tuning.eviction)
-     << " pm-read-ns=" << cfg.pm_read_ns << ", 1 thread) ---\n";
+     << "MB pm-read-ns=" << cfg.pm_read_ns << ", 1 thread) ---\n";
   TablePrinter table({"Graph", "csr(s)", "pm(s)", "cached(s)", "speedup",
                       "hit%", "gap closed", "identical"});
   const par::ScopedKernelThreads one_thread(1);

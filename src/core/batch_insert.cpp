@@ -134,11 +134,11 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
           __builtin_prefetch(&entries_[edges[work[w2 + kPrefetch]].src]);
         const std::uint32_t idx = work[w2];
         const VertexEntry& e = entries_[edges[idx].src];
-        const std::uint64_t start = e.start;
+        const std::uint64_t start = relaxed_u64(e.start);
         const std::uint64_t home = start < cap ? start >> shift : nseg - 1;
         items.push_back(make_key(home, edges[idx].src, idx));
-        tails[idx] =
-            std::min<std::uint64_t>(start + 1 + e.arr_count, cap - 1);
+        tails[idx] = std::min<std::uint64_t>(
+            start + 1 + relaxed_u32(e.arr_count), cap - 1);
       }
       std::sort(items.begin(), items.end());
       // Warm the slot lines each run will append to while the sections are
@@ -230,7 +230,7 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
               publish_u32(live.arr_count,
                           live.arr_count +
                               static_cast<std::uint32_t>(pos - run_begin));
-              if (tombstone) live.has_tombstone = 1;
+              if (tombstone) store_u8_relaxed(live.has_tombstone, 1);
               for (std::uint64_t p = run_begin; p < pos;) {
                 const std::uint64_t sec = p >> shift;
                 const std::uint64_t end = std::min(pos, (sec + 1) << shift);
@@ -256,11 +256,11 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
             ElogEntry* entry = elog(home) + eidx;
             *entry = make_elog_entry(src, edges[key_idx(items[k])].dst,
                                      tombstone, live.el_head_p1);
-            sm.elog_raw += 1;
+            store_u32_relaxed(sm.elog_raw, eidx + 1);
             sm.elog_live += 1;
-            live.el_count += 1;
+            store_u32_relaxed(live.el_count, live.el_count + 1);
             publish_u32(live.el_head_p1, eidx + 1);
-            if (tombstone) live.has_tombstone = 1;
+            if (tombstone) store_u8_relaxed(live.has_tombstone, 1);
             tree_->add(home, +1);
             if (!opts_.metadata_in_dram) {
               mirror_vertex(src);
@@ -305,39 +305,12 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
 
       // Coalesced rebalance triggers: at most one per touched section, and
       // trigger_rebalance itself no-ops for sections a previous trigger's
-      // window already drained. With offload_rebalance the trigger runs as
-      // a high-priority scheduler task so the inserting thread returns to
-      // staging instead of draining elogs; the in-flight cap keeps a merge
-      // storm from swamping the scheduler (past it, triggers run inline as
-      // before). Correctness is identical either way: trigger_rebalance
-      // re-validates density under its own locks, so a stale hint no-ops.
+      // window already drained. trigger_rebalance re-validates density
+      // under its own locks, so a stale hint no-ops.
       std::sort(merge_secs.begin(), merge_secs.end());
       merge_secs.erase(std::unique(merge_secs.begin(), merge_secs.end()),
                        merge_secs.end());
-      constexpr std::uint32_t kMaxOffloadedRebalances = 8;
-      for (const std::uint64_t sec : merge_secs) {
-        if (opts_.offload_rebalance &&
-            offloaded_rebalances_.load(std::memory_order_relaxed) <
-                kMaxOffloadedRebalances) {
-          offloaded_rebalances_.fetch_add(1, std::memory_order_relaxed);
-          rebalance_wg_.add(1);
-          sched::TaskScheduler::global().submit(
-              [this, sec] {
-                try {
-                  trigger_rebalance(sec);
-                } catch (...) {
-                  // A failed offloaded merge leaves the section dense; the
-                  // next insert into it re-triggers inline and surfaces the
-                  // error to its caller.
-                }
-                offloaded_rebalances_.fetch_sub(1, std::memory_order_relaxed);
-                rebalance_wg_.done();
-              },
-              sched::Priority::high);
-        } else {
-          trigger_rebalance(sec);
-        }
-      }
+      for (const std::uint64_t sec : merge_secs) trigger_rebalance(sec);
 
       work.swap(deferred);
     }

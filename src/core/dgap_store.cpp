@@ -29,7 +29,7 @@ DgapStore::DgapStore(pmem::PmemPool& pool, const DgapOptions& opts)
 }
 
 DgapStore::~DgapStore() {
-  // Wait out offloaded rebalance tasks first (idempotent after shutdown());
+  // Wait out cold-tier scheduler tasks first (idempotent after shutdown());
   // they hold `this` and must not outlive it.
   rebalance_wg_.wait();
   // Close the snapshot control block first: any snapshot op from here on
@@ -103,9 +103,7 @@ void DgapStore::adopt_layout(const DgapLayout& l) {
   if (const std::uint64_t cache_bytes = resolve_cache_bytes(opts_);
       cache_bytes != 0) {
     if (!cache_) {
-      cache_ = std::make_unique<tier::SectionCache>(cache_bytes,
-                                                    opts_.eviction);
-      cache_->set_background_evict(opts_.offload_tier_evict);
+      cache_ = std::make_unique<tier::SectionCache>(cache_bytes);
     }
     cache_->configure(num_segments_, seg_slots_);
   }
@@ -375,8 +373,9 @@ void DgapStore::append_vertex_locked(NodeId v) {
     if (v == 0) {
       pos = 0;
     } else {
+      // Unlocked hint; re-validated under the section lock below.
       const VertexEntry& prev = entries_[v - 1];
-      pos = prev.start + 1 + prev.arr_count;
+      pos = relaxed_u64(prev.start) + 1 + relaxed_u32(prev.arr_count);
     }
     if (pos >= capacity_) {
       // The tail is out of room. Redistribute gaps toward the array end
@@ -525,7 +524,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
         ElogEntry* entry = elog(home) + idx;
         *entry = make_elog_entry(src, dst, tombstone, live.el_head_p1);
         pool_.persist(entry, sizeof(ElogEntry));
-        sm.elog_raw += 1;
+        store_u32_relaxed(sm.elog_raw, idx + 1);
         sm.elog_live += 1;
         store_u32_relaxed(entries_[src].el_count, live.el_count + 1);
         publish_u32(entries_[src].el_head_p1, idx + 1);
@@ -638,10 +637,11 @@ void DgapStore::nearby_shift_insert(NodeId src, Slot value, std::uint64_t pos,
     d->undo_valid = 0;
     pool_.persist(d, sizeof(UlogDescriptor));
   }
-  // Pivots that moved right belong to later vertices: fix their starts.
+  // Pivots that moved right belong to later vertices: fix their starts
+  // (relaxed atomic: other writers' insert_internal probes `start` unlocked).
   for (std::uint64_t p = pos + 1; p <= gap; ++p) {
     if (is_pivot(slots_[p]))
-      entries_[pivot_vertex(slots_[p])].start = p;
+      store_u64_relaxed(entries_[pivot_vertex(slots_[p])].start, p);
   }
   // The shift rewrote [pos, gap] in place: drop the stale frame(s) while
   // the gate still excludes readers.
@@ -931,7 +931,7 @@ DgapStore::ShardIdentity DgapStore::shard_identity() const {
 }
 
 void DgapStore::shutdown() {
-  // Quiesce offloaded rebalances BEFORE taking the store locks: a task
+  // Quiesce cold-tier scheduler tasks BEFORE taking the store locks: a task
   // blocked on global_mu_ while we hold it could never retire.
   rebalance_wg_.wait();
   global_mu_.lock();

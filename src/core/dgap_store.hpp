@@ -283,8 +283,9 @@ class DgapStore {
   // before dereferencing, so the data it indexes is visible — on x86 both
   // compile to plain moves, elsewhere they are the fence the old
   // section-lock handshake used to provide. Fields mutated only inside the
-  // structural gate (start, splice rewrites) stay plain: the gate's own
-  // acquire/release chain orders them.
+  // structural gate (splice rewrites) need no release: the gate's own
+  // acquire/release chain orders them for readers (writers' unlocked probe
+  // still goes through the relaxed helpers below).
   static void publish_u32(std::uint32_t& field, std::uint32_t v) {
     std::atomic_ref<std::uint32_t>(field).store(v, std::memory_order_release);
   }
@@ -293,11 +294,13 @@ class DgapStore {
         .load(std::memory_order_acquire);
   }
 
-  // Relaxed counterparts for the optimistic pre-validation read in
-  // insert_internal and the lock-held stores it races with. The race is by
-  // design — every optimistically read value is re-validated under the
-  // section locks — and routing both sides through atomic_ref keeps it
-  // defined behavior (plain moves on every target we build for).
+  // Relaxed counterparts for the optimistic unlocked reads (insert_internal
+  // and batch bucketing of entry fields, append_vertex_locked's tail probe,
+  // the elog fill hints in rebalance_needed and the cold tier) and the
+  // lock-held stores they race with. The race is by design — every
+  // optimistically read value is re-validated under the section locks —
+  // and routing both sides through atomic_ref keeps it defined behavior
+  // (plain moves on every target we build for).
   static std::uint64_t relaxed_u64(const std::uint64_t& field) {
     return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(field))
         .load(std::memory_order_relaxed);
@@ -305,6 +308,9 @@ class DgapStore {
   static std::uint32_t relaxed_u32(const std::uint32_t& field) {
     return std::atomic_ref<std::uint32_t>(const_cast<std::uint32_t&>(field))
         .load(std::memory_order_relaxed);
+  }
+  static void store_u64_relaxed(std::uint64_t& field, std::uint64_t v) {
+    std::atomic_ref<std::uint64_t>(field).store(v, std::memory_order_relaxed);
   }
   static void store_u32_relaxed(std::uint32_t& field, std::uint32_t v) {
     std::atomic_ref<std::uint32_t>(field).store(v, std::memory_order_relaxed);
@@ -662,12 +668,11 @@ class DgapStore {
   // Shared resize token gate; null = ungated (see set_structural_budget).
   std::shared_ptr<StructuralBudget> struct_budget_;
 
-  // Offloaded merge-rebalance tracking (opts_.offload_rebalance): tasks in
-  // flight on the scheduler. shutdown()/~DgapStore wait the group BEFORE
-  // taking global_mu_ — an offloaded rebalance blocked on the store lock
-  // while shutdown holds it would deadlock the wait.
+  // Cold-tier promotion/demotion tasks in flight on the scheduler.
+  // shutdown()/~DgapStore wait the group BEFORE taking global_mu_ — a task
+  // blocked on the store lock while shutdown holds it would deadlock the
+  // wait.
   sched::WaitGroup rebalance_wg_;
-  std::atomic<std::uint32_t> offloaded_rebalances_{0};
 
   std::atomic<std::uint32_t> next_writer_{0};
   std::uint64_t instance_id_;

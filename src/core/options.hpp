@@ -8,7 +8,6 @@
 #include "src/common/platform.hpp"
 #include "src/graph/types.hpp"
 #include "src/pma/thresholds.hpp"
-#include "src/tier/eviction.hpp"
 
 namespace dgap::core {
 
@@ -74,14 +73,6 @@ struct DgapOptions {
   // never use on data you care about.
   bool protect_structural_ops = true;
 
-  // Run merge-triggered rebalances as high-priority tasks on the process
-  // TaskScheduler (src/sched) instead of inline on the inserting thread.
-  // Bounded in-flight; past the cap (or when a section is hard-full, which
-  // must resolve before the insert can proceed) the trigger stays inline.
-  // The existing structural_budget gate applies unchanged — offloading
-  // moves WHERE the work runs, not when it is permitted.
-  bool offload_rebalance = false;
-
   // --- DRAM hot tier (src/tier/dram_cache.hpp) ------------------------------
   // DRAM budget for the section read cache; 0 disables the tier entirely
   // (no hooks on any path). Purely volatile: the knob is not persisted and
@@ -91,10 +82,6 @@ struct DgapOptions {
   // Byte-granular override (takes precedence when non-zero); ShardedStore
   // uses it to split one user-facing budget across shards.
   std::uint64_t dram_cache_bytes = 0;
-  tier::Eviction eviction = tier::Eviction::lru;
-  // Pre-evict cold frames via low-priority scheduler tasks when the cache
-  // runs at capacity, keeping the victim scan off the reader miss path.
-  bool offload_tier_evict = false;
 
   // --- SSD cold tier (src/tier/cold_tier.hpp) -------------------------------
   // Demote cold+write-quiet sections from the pmem pool to a backing file

@@ -49,9 +49,11 @@ namespace dgap::core {
 
 bool DgapStore::rebalance_needed(std::uint64_t seg) const {
   if (seg >= num_segments_) return false;
-  const SectionMeta& sm = sections_[seg];
-  if (sm.elog_raw >= elog_entries_) return true;
-  return static_cast<double>(sm.elog_raw) >=
+  // Read without the section lock (callers hold rebalance_mu_ only), so it
+  // races appenders by design.
+  const std::uint32_t raw = relaxed_u32(sections_[seg].elog_raw);
+  if (raw >= elog_entries_) return true;
+  return static_cast<double>(raw) >=
          opts_.elog_merge_fill * static_cast<double>(elog_entries_);
 }
 
@@ -410,15 +412,16 @@ void DgapStore::rebalance_window_locked(std::uint64_t begin_seg,
   // Volatile metadata: vertex entries, section logs, tree counts. The gate
   // only turns away readers whose run is inside the window, and admitted
   // out-of-window readers probe entries_[v].start atomically while being
-  // admitted — so `start` must be stored through an atomic_ref (a plain
-  // store would race the probe), and the count fields keep the release
-  // publish the lock-free read path pairs with.
+  // admitted — so `start` and `el_count` must be stored through an
+  // atomic_ref (a plain store would race the probe, as would
+  // insert_internal's unlocked pre-validation read of both), and
+  // `arr_count` keeps the release publish the lock-free read path pairs
+  // with.
   for (std::size_t i = 0; i < plan.size(); ++i) {
     VertexEntry& e = entries_[plan[i].vertex];
-    std::atomic_ref<std::uint64_t>(e.start).store(plan[i].new_start,
-                                                  std::memory_order_relaxed);
+    store_u64_relaxed(e.start, plan[i].new_start);
     publish_u32(e.arr_count, runs[i].arr_count + runs[i].el_count);
-    e.el_count = 0;
+    store_u32_relaxed(e.el_count, 0);
     publish_u32(e.el_head_p1, 0);
     if (!opts_.metadata_in_dram) mirror_vertex(plan[i].vertex);
   }
@@ -578,7 +581,7 @@ void DgapStore::resize_and_rebuild(std::uint64_t extra_slots) {
       VertexEntry& e = entries_[plan[i].vertex];
       e.start = plan[i].new_start;
       e.arr_count = runs[i].arr_count + runs[i].el_count;
-      e.el_count = 0;
+      store_u32_relaxed(e.el_count, 0);
       e.el_head_p1 = 0;
       std::uint64_t pos = plan[i].new_start;
       std::uint64_t left = plan[i].count;

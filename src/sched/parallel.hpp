@@ -145,7 +145,7 @@ class BlockSource {
 };
 
 // Cooperative yield point for long sched-mode loops: run one pending
-// high-priority task (absorber, offloaded rebalance) between blocks so
+// high-priority task (an absorber batch) between blocks so
 // ingest latency survives kernels that occupy every worker. No-op in
 // OpenMP mode and O(one relaxed load) when nothing is pending.
 inline void assist_point() {

@@ -1,6 +1,6 @@
 // TaskScheduler: one work-stealing runtime for everything that used to run
-// on its own threads — async-ingest absorbers, offloaded rebalance/resize
-// windows, parallel recovery, and the analysis kernels' sched execution
+// on its own threads — async-ingest absorbers, cold-tier promotion and
+// demotion, parallel recovery, and the analysis kernels' sched execution
 // path (src/sched/parallel.hpp).
 //
 // Shape: N workers, each owning a Chase-Lev deque (owner pushes/pops the

@@ -7,19 +7,8 @@
 #include "src/obs/scoped_latency.hpp"
 #include "src/obs/trace_ring.hpp"
 #include "src/pmem/latency_model.hpp"
-#include "src/sched/task_scheduler.hpp"
 
 namespace dgap::tier {
-
-// Shared between the cache and any queued background-evict task: the task
-// takes mu, and runs only if the owner is still attached. configure() and
-// the destructor detach under the same spinlock — a bounded wait for a
-// RUNNING scan, never for queued tasks (those find owner == nullptr later).
-struct SectionCache::BgState {
-  SpinLock mu;
-  SectionCache* owner = nullptr;
-  std::atomic<bool> inflight{false};
-};
 
 namespace {
 
@@ -39,36 +28,11 @@ constexpr std::uint32_t kEwmaSlack = 1024;
 
 }  // namespace
 
-SectionCache::SectionCache(std::uint64_t budget_bytes, Eviction policy)
-    : budget_bytes_(budget_bytes), policy_(policy) {}
-
-SectionCache::~SectionCache() {
-  if (bg_) {
-    std::lock_guard<SpinLock> g(bg_->mu);
-    bg_->owner = nullptr;
-  }
-}
-
-void SectionCache::set_background_evict(bool on) {
-  bg_enabled_.store(on, std::memory_order_relaxed);
-  if (on && !bg_) {
-    bg_ = std::make_shared<BgState>();
-    bg_->owner = this;
-  }
-}
+SectionCache::SectionCache(std::uint64_t budget_bytes)
+    : budget_bytes_(budget_bytes) {}
 
 void SectionCache::configure(std::uint64_t num_sections,
                              std::uint64_t section_slots) {
-  // Orphan any queued background-evict task: the frames it would scan are
-  // about to be dropped. A fresh handle re-attaches for the new layout.
-  if (bg_) {
-    {
-      std::lock_guard<SpinLock> g(bg_->mu);
-      bg_->owner = nullptr;
-    }
-    bg_ = std::make_shared<BgState>();
-    bg_->owner = this;
-  }
   num_sections_ = num_sections;
   section_slots_ = section_slots;
   const std::uint64_t frame_bytes = section_slots * sizeof(core::Slot);
@@ -79,7 +43,6 @@ void SectionCache::configure(std::uint64_t num_sections,
 
   free_.clear();
   lru_head_ = lru_tail_ = kNil;
-  clock_hand_ = 0;
   resident_ = 0;
   if (num_frames_ == 0) {
     data_.reset();
@@ -154,9 +117,7 @@ SectionCache::Pin SectionCache::acquire(std::uint64_t sec) {
     ++misses_;
     return {};
   }
-  if (policy_ == Eviction::clock) {
-    fr.ref.store(1, std::memory_order_relaxed);
-  } else if (mu_.try_lock()) {
+  if (mu_.try_lock()) {
     // Lazy LRU promotion: skipping under contention only blurs recency.
     if (fr.resident) {
       lru_unlink_locked(f1 - 1);
@@ -203,30 +164,19 @@ std::uint32_t SectionCache::claim_frame_locked(std::uint64_t incoming_sec) {
   }
   // Thrash-resistant admission, O(1) before any victim scan: the incumbent
   // keeps its frame unless the incoming section reads at least as hot as a
-  // representative incumbent (LRU: the coldest-by-recency tail; CLOCK: the
-  // frame at the hand). Under a uniform cyclic sweep larger than the cache
-  // every challenger ties its victim, so the resident set FREEZES after
-  // warmup instead of churning through populates that are evicted before
-  // they can be reused (LRU's pathological case — and each fruitless
-  // populate is a real memcpy plus a charged bulk read). Each rejected
-  // challenge ages the representative, so a section that stops being read
-  // loses its frame after a bounded number of challenges: the set stays
-  // adaptive, just not flappy.
+  // representative incumbent, the coldest-by-recency unpinned frame. Under
+  // a uniform cyclic sweep larger than the cache every challenger ties its
+  // victim, so the resident set FREEZES after warmup instead of churning
+  // through populates that are evicted before they can be reused (LRU's
+  // pathological case — and each fruitless populate is a real memcpy plus
+  // a charged bulk read). Each rejected challenge ages the representative,
+  // so a section that stops being read loses its frame after a bounded
+  // number of challenges: the set stays adaptive, just not flappy.
   std::uint32_t probe = kNil;
-  if (policy_ == Eviction::lru) {
-    for (std::uint32_t f = lru_tail_; f != kNil; f = frames_[f].prev) {
-      if (frames_[f].readers.load(std::memory_order_relaxed) != 0) continue;
-      probe = f;
-      break;
-    }
-  } else {
-    for (std::uint32_t step = 0; step < num_frames_; ++step) {
-      const std::uint32_t f = (clock_hand_ + step) % num_frames_;
-      if (!frames_[f].resident) continue;
-      if (frames_[f].readers.load(std::memory_order_relaxed) != 0) continue;
-      probe = f;
-      break;
-    }
+  for (std::uint32_t f = lru_tail_; f != kNil; f = frames_[f].prev) {
+    if (frames_[f].readers.load(std::memory_order_relaxed) != 0) continue;
+    probe = f;
+    break;
   }
   if (probe == kNil) return kNil;  // everything pinned
   const std::uint64_t probe_sec =
@@ -250,10 +200,6 @@ std::uint32_t SectionCache::claim_frame_locked(std::uint64_t incoming_sec) {
         read_rate_[probe_sec].store(vr - vr / 8, std::memory_order_relaxed);
       }
       ++admit_rejects_;
-      // Rotate the representative so repeated challenges age ROUND-ROBIN
-      // through the incumbents rather than hammering one frame.
-      if (policy_ == Eviction::clock)
-        clock_hand_ = (probe + 1) % num_frames_;
       return kNil;
     }
   }
@@ -264,41 +210,17 @@ std::uint32_t SectionCache::claim_frame_locked(std::uint64_t incoming_sec) {
 }
 
 std::uint32_t SectionCache::pick_victim_locked() {
-  std::uint32_t victim = kNil;
-  if (policy_ == Eviction::lru) {
-    // From the cold end; protect pinned frames and (first pass) read-hot
-    // sections, falling back to "any unpinned" so protection is bounded.
-    for (int pass = 0; pass < 2 && victim == kNil; ++pass) {
-      for (std::uint32_t f = lru_tail_; f != kNil; f = frames_[f].prev) {
-        if (frames_[f].readers.load(std::memory_order_relaxed) != 0) continue;
-        const std::uint64_t s = frames_[f].sec.load(std::memory_order_relaxed);
-        if (pass == 0 && s != kNoSec && read_hot(s)) continue;
-        victim = f;
-        break;
-      }
-    }
-  } else {
-    // CLOCK: second chance via ref bits; read-hot sections get a bounded
-    // number of extra passes so a cold scan cannot strip the hot set.
-    std::uint32_t spared = 0;
-    const std::uint32_t budget = 2 * num_frames_ + 4;
-    for (std::uint32_t step = 0; step < budget + spared; ++step) {
-      const std::uint32_t f = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % num_frames_;
-      Frame& fr = frames_[f];
-      if (!fr.resident) continue;
-      if (fr.readers.load(std::memory_order_relaxed) != 0) continue;
-      if (fr.ref.exchange(0, std::memory_order_relaxed) != 0) continue;
-      const std::uint64_t s = fr.sec.load(std::memory_order_relaxed);
-      if (s != kNoSec && read_hot(s) && spared < num_frames_ / 4 + 1) {
-        ++spared;
-        continue;
-      }
-      victim = f;
-      break;
+  // From the cold end; protect pinned frames and (first pass) read-hot
+  // sections, falling back to "any unpinned" so protection is bounded.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t f = lru_tail_; f != kNil; f = frames_[f].prev) {
+      if (frames_[f].readers.load(std::memory_order_relaxed) != 0) continue;
+      const std::uint64_t s = frames_[f].sec.load(std::memory_order_relaxed);
+      if (pass == 0 && s != kNoSec && read_hot(s)) continue;
+      return f;
     }
   }
-  return victim;
+  return kNil;
 }
 
 void SectionCache::unmap_frame_locked(std::uint32_t f) {
@@ -309,36 +231,10 @@ void SectionCache::unmap_frame_locked(std::uint32_t f) {
     frame_p1_[old_sec].store(0, std::memory_order_seq_cst);
     ++evictions_;
   }
-  if (policy_ == Eviction::lru) lru_unlink_locked(f);
+  lru_unlink_locked(f);
   fr.resident = false;
   --resident_;
   fr.sec.store(kNoSec, std::memory_order_relaxed);
-}
-
-void SectionCache::maybe_schedule_evict() {
-  if (!bg_enabled_.load(std::memory_order_relaxed)) return;
-  std::shared_ptr<BgState> st = bg_;
-  if (!st || st->inflight.exchange(true, std::memory_order_acq_rel)) return;
-  sched::TaskScheduler::global().submit(
-      [st] {
-        std::lock_guard<SpinLock> g(st->mu);
-        st->inflight.store(false, std::memory_order_relaxed);
-        if (st->owner != nullptr) st->owner->evict_one_into_free();
-      },
-      sched::Priority::low);
-}
-
-void SectionCache::evict_one_into_free() {
-  std::lock_guard<SpinLock> g(mu_);
-  if (!free_.empty()) return;  // pressure already relieved
-  // Pure pressure relief, so no admission veto: the coldest unpinned frame
-  // goes (read-hot protection still applies inside the scan). A pre-evicted
-  // frame means the next miss claims from the free list without running the
-  // victim scan inside its reader lane.
-  const std::uint32_t victim = pick_victim_locked();
-  if (victim == kNil) return;
-  unmap_frame_locked(victim);
-  free_.push_back(victim);
 }
 
 SectionCache::Pin SectionCache::populate(std::uint64_t sec,
@@ -361,18 +257,13 @@ SectionCache::Pin SectionCache::populate(std::uint64_t sec,
   // bulk copy) and the evict histogram just the victim selection/unmap.
   const obs::ScopedLatency populate_lat(&populate_hist_);
   std::uint32_t f = kNil;
-  bool at_capacity = false;
   {
     const obs::ScopedLatency evict_lat(&evict_hist_);
     std::lock_guard<SpinLock> g(mu_);
-    at_capacity = free_.empty();
     f = claim_frame_locked(sec);
     if (f == kNil) return {};
     ++resident_;  // reserved; published below
   }
-  // Evict offload point: the claim above had to run a victim scan, so ask
-  // the scheduler to pre-evict one frame off the read path for next time.
-  if (at_capacity) maybe_schedule_evict();
   Frame& fr = frames_[f];
   // Stragglers that pinned before the unmap must drain before we overwrite.
   while (fr.readers.load(std::memory_order_seq_cst) != 0) cpu_relax();
@@ -383,13 +274,12 @@ SectionCache::Pin SectionCache::populate(std::uint64_t sec,
                kCacheLineSize);
   std::memcpy(frame_data(f), src, section_slots_ * sizeof(core::Slot));
   fr.sec.store(sec, std::memory_order_relaxed);
-  fr.ref.store(1, std::memory_order_relaxed);
   // fetch_add, not store: a backing-out straggler may still transit +1/-1.
   fr.readers.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<SpinLock> g(mu_);
     fr.resident = true;
-    if (policy_ == Eviction::lru) lru_push_front_locked(f);
+    lru_push_front_locked(f);
     // Release: the memcpy above is visible to any reader that sees this.
     frame_p1_[sec].store(f + 1, std::memory_order_release);
   }
@@ -442,13 +332,12 @@ void SectionCache::invalidate(std::uint64_t sec) {
   // immediately; the loop keeps the method safe if ever called elsewhere.
   while (fr.readers.load(std::memory_order_seq_cst) != 0) cpu_relax();
   fr.sec.store(kNoSec, std::memory_order_relaxed);
-  fr.ref.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<SpinLock> g(mu_);
     if (fr.resident) {
       fr.resident = false;
       --resident_;
-      if (policy_ == Eviction::lru) lru_unlink_locked(f1 - 1);
+      lru_unlink_locked(f1 - 1);
       free_.push_back(f1 - 1);
     }
   }

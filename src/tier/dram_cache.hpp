@@ -28,16 +28,17 @@
 //     are drained, so the only concurrency left is the pin of a reader that
 //     already exited (none) — and store create/open before readers exist.
 //
-// Placement policy: per-section read/churn EWMAs (the arrival-rate idiom
-// from the ingest autotuner) gate admission — a section whose writes dwarf
-// its reads is not worth a frame — and give read-hot sections bounded
-// protection from eviction, so a cold sequential scan cannot flush the
-// resident hot set.
+// Placement policy: victims come from the cold end of an LRU list.
+// Per-section read/churn EWMAs (the arrival-rate idiom from the ingest
+// autotuner) gate admission — a section whose writes dwarf its reads is not
+// worth a frame — and give read-hot sections bounded protection from
+// eviction, so a cold sequential scan cannot flush the resident hot set.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/spinlock.hpp"
@@ -45,7 +46,6 @@
 #include "src/core/encoding.hpp"
 #include "src/obs/latency_histogram.hpp"
 #include "src/obs/metrics_registry.hpp"
-#include "src/tier/eviction.hpp"
 
 namespace dgap::tier {
 
@@ -90,8 +90,7 @@ struct CacheStats {
 
 class SectionCache {
  public:
-  SectionCache(std::uint64_t budget_bytes, Eviction policy);
-  ~SectionCache();
+  explicit SectionCache(std::uint64_t budget_bytes);
   SectionCache(const SectionCache&) = delete;
   SectionCache& operator=(const SectionCache&) = delete;
 
@@ -154,7 +153,6 @@ class SectionCache {
   void invalidate(std::uint64_t sec);
 
   [[nodiscard]] bool active() const { return num_frames_ != 0; }
-  [[nodiscard]] Eviction policy() const { return policy_; }
   [[nodiscard]] CacheStats stats() const;
 
   // Latency distributions (ns): frame fill (populate miss path) and victim
@@ -171,15 +169,6 @@ class SectionCache {
   // construction; the handles deregister with the cache.
   void register_metrics(const std::string& prefix);
 
-  // Background eviction (the scheduler evict-offload point): after a
-  // populate that had to evict — the cache is at capacity — a low-priority
-  // scheduler task pre-evicts one cold frame into the free list, so the
-  // next miss claims a frame without paying the victim scan inside its
-  // reader lane. Off by default; call at setup time (not thread-safe).
-  // Queued tasks hold a detachable state handle, so configure()/destruction
-  // never wait on the scheduler — they just orphan the task.
-  void set_background_evict(bool on);
-
  private:
   static constexpr std::uint64_t kNoSec = ~std::uint64_t{0};
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -187,7 +176,6 @@ class SectionCache {
   struct alignas(kCacheLineSize) Frame {
     std::atomic<std::uint64_t> sec{kNoSec};
     std::atomic<std::uint32_t> readers{0};
-    std::atomic<std::uint8_t> ref{0};  // CLOCK second-chance bit
     // LRU intrusive list links + residency, guarded by mu_.
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
@@ -201,14 +189,12 @@ class SectionCache {
   // nothing is evictable OR the best victim still reads at least as hot as
   // the incoming section (thrash-resistant admission). Caller holds mu_.
   std::uint32_t claim_frame_locked(std::uint64_t incoming_sec);
-  // Policy scan for an evictable frame (no admission veto); kNil when every
+  // LRU scan for an evictable frame (no admission veto); kNil when every
   // candidate is pinned. Caller holds mu_.
   std::uint32_t pick_victim_locked();
-  // Clear a frame's mapping + policy state (seq_cst unmap pairing with the
+  // Clear a frame's mapping + LRU links (seq_cst unmap pairing with the
   // pin-then-revalidate in acquire()). Caller holds mu_.
   void unmap_frame_locked(std::uint32_t f);
-  void maybe_schedule_evict();
-  void evict_one_into_free();
   void lru_unlink_locked(std::uint32_t f);
   void lru_push_front_locked(std::uint32_t f);
   [[nodiscard]] bool read_hot(std::uint64_t sec) const;
@@ -216,7 +202,6 @@ class SectionCache {
   void bump_churn(std::uint64_t sec);
 
   const std::uint64_t budget_bytes_;
-  const Eviction policy_;
 
   std::uint64_t num_sections_ = 0;
   std::uint64_t section_slots_ = 0;
@@ -230,13 +215,12 @@ class SectionCache {
   std::unique_ptr<std::atomic<std::uint32_t>[]> read_rate_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> churn_rate_;
 
-  // Guards the eviction-policy structures (LRU list, CLOCK hand, free list,
-  // residency). Never held while copying section data.
+  // Guards the LRU list, free list and residency. Never held while copying
+  // section data.
   mutable SpinLock mu_;
   std::vector<std::uint32_t> free_;
   std::uint32_t lru_head_ = kNil;
   std::uint32_t lru_tail_ = kNil;
-  std::uint32_t clock_hand_ = 0;
   std::uint32_t resident_ = 0;
   // Rejected-challenge counter driving incumbent aging (one decay per
   // num_frames_ vetoes; see claim_frame_locked).
@@ -250,13 +234,6 @@ class SectionCache {
   mutable StatCell<std::uint64_t> stream_bypasses_;
   mutable StatCell<std::uint64_t> write_updates_;
   mutable StatCell<std::uint64_t> invalidations_;
-
-  // Background-evict handle shared with queued scheduler tasks; owner is
-  // nulled (under its spinlock) on configure()/destruction so an orphaned
-  // task no-ops instead of touching freed frames. Defined in the .cpp.
-  struct BgState;
-  std::shared_ptr<BgState> bg_;
-  std::atomic<bool> bg_enabled_{false};
 
   obs::LatencyHistogram populate_hist_;
   obs::LatencyHistogram evict_hist_;

@@ -386,10 +386,10 @@ INSTANTIATE_TEST_SUITE_P(Bands, ColdTierCrashSweep, ::testing::Range(0, 8),
 class BatchCrashSweep : public ::testing::TestWithParam<int> {};
 
 // Shared body, parameterized on store options so the DRAM hot-tier variant
-// (write-through cache on, CLOCK eviction) runs the identical sweep: the
-// cache is volatile and must change NOTHING about what survives a crash,
-// and the post-recovery oracle check reads through a fresh cache, so a
-// stale or torn frame would surface as a multiset difference.
+// (write-through cache on) runs the identical sweep: the cache is volatile
+// and must change NOTHING about what survives a crash, and the
+// post-recovery oracle check reads through a fresh cache, so a stale or
+// torn frame would surface as a multiset difference.
 void run_batch_crash_sweep(int band, const DgapOptions& store_opts) {
   constexpr std::size_t kBatch = 64;
   const auto stream = symmetrize(generate_rmat(48, 1500, 4321));
@@ -467,11 +467,10 @@ INSTANTIATE_TEST_SUITE_P(Bands, BatchCrashSweep, ::testing::Range(0, 8),
                          });
 
 // DRAM hot tier on: a deliberately tiny budget keeps eviction churning
-// through the whole sweep, and CLOCK covers the non-default policy.
+// through the whole sweep.
 DgapOptions cached_crash_opts() {
   DgapOptions o = crash_opts();
   o.dram_cache_bytes = 4 << 10;  // 16 frames over 256-byte sections
-  o.eviction = tier::Eviction::clock;
   return o;
 }
 
@@ -756,7 +755,6 @@ class CachedShardedBatchCrashSweep : public ::testing::TestWithParam<int> {};
 TEST_P(CachedShardedBatchCrashSweep, EveryShardRecoversToAcknowledgedBatches) {
   run_sharded_batch_crash_sweep(GetParam(), [](ShardedStore::Options& o) {
     o.dgap.dram_cache_bytes = 12 << 10;  // split 3 ways: 16 frames/shard
-    o.dgap.eviction = tier::Eviction::clock;
   });
 }
 

@@ -429,6 +429,34 @@ TEST(IncrementalKernels, SeedSizeMismatchFallsBackToSeededFull) {
   EXPECT_EQ(cc.labels, algorithms::connected_components(b));
 }
 
+// Without a seed the kernel's certification sweeps are pagerank()'s own
+// sweep from the same uniform start, so the fallback must equal the
+// tolerance-stopped full kernel bit for bit — at every kernel width, since
+// both reduce per block in block order.
+TEST(IncrementalKernels, SeedlessFallbackIsBitIdenticalToFullKernel) {
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = 4096;
+  opts.init_edges = 1 << 16;
+  auto store = DgapStore::create(*pool, opts);
+  const auto stream = symmetrize(generate_rmat(4096, 20000, 31));
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+  const Snapshot a = store->consistent_view();
+  store->insert_edge(0, 1);
+  const Snapshot b = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(a, b);
+
+  const algorithms::IncrementalPageRankParams ipr{};
+  for (const int width : {1, 2, 4}) {
+    const par::ScopedKernelThreads threads(width);
+    const auto pr = algorithms::incremental_pagerank(b, d, {}, ipr);
+    EXPECT_TRUE(pr.full_fallback) << "width " << width;
+    const std::vector<double> full = algorithms::pagerank(
+        b, {.iterations = ipr.max_iterations, .tolerance = ipr.tolerance});
+    EXPECT_EQ(pr.scores, full) << "width " << width;
+  }
+}
+
 TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {
   auto pool = make_pool(32);
   auto store = DgapStore::create(*pool, small_opts());

@@ -1,5 +1,5 @@
 // DRAM hot tier (src/tier/dram_cache.hpp): the SectionCache unit contracts
-// — frame budget honored exactly, deterministic LRU vs CLOCK victim choice,
+// — frame budget honored exactly, deterministic LRU victim choice,
 // churn-gated admission, write-through visibility, invalidation — plus the
 // store-level torn-read check: snapshot reads served through a tiny,
 // constantly-evicting cache stay a single point-in-time cut while a writer
@@ -31,7 +31,7 @@ std::vector<core::Slot> section_image(std::uint64_t sec) {
 
 TEST(SectionCache, FrameCountIsBudgetOverFrameSize) {
   // 4.5 frames of budget => exactly 4 frames, never a partial one.
-  SectionCache cache(4 * kFrameBytes + kFrameBytes / 2, Eviction::lru);
+  SectionCache cache(4 * kFrameBytes + kFrameBytes / 2);
   cache.configure(/*num_sections=*/64, kSlots);
   const CacheStats s = cache.stats();
   EXPECT_TRUE(cache.active());
@@ -42,13 +42,13 @@ TEST(SectionCache, FrameCountIsBudgetOverFrameSize) {
 
 TEST(SectionCache, FramesNeverExceedSectionCount) {
   // Budget for 100 frames but only 3 sections exist: don't allocate waste.
-  SectionCache cache(100 * kFrameBytes, Eviction::lru);
+  SectionCache cache(100 * kFrameBytes);
   cache.configure(/*num_sections=*/3, kSlots);
   EXPECT_EQ(cache.stats().frames, 3u);
 }
 
 TEST(SectionCache, ResidencyNeverExceedsCapacity) {
-  SectionCache cache(4 * kFrameBytes, Eviction::lru);
+  SectionCache cache(4 * kFrameBytes);
   cache.configure(/*num_sections=*/16, kSlots);
   for (std::uint64_t sec = 0; sec < 10; ++sec) {
     const auto img = section_image(sec);
@@ -66,7 +66,7 @@ TEST(SectionCache, ResidencyNeverExceedsCapacity) {
 }
 
 TEST(SectionCache, ZeroBudgetIsInert) {
-  SectionCache cache(0, Eviction::clock);
+  SectionCache cache(0);
   cache.configure(/*num_sections=*/16, kSlots);
   EXPECT_FALSE(cache.active());
   const auto img = section_image(0);
@@ -78,10 +78,9 @@ TEST(SectionCache, ZeroBudgetIsInert) {
   EXPECT_EQ(cache.stats().resident, 0u);
 }
 
-// Same access sequence, different policy, different victim: LRU protects
-// the recently-touched section.
+// LRU protects the recently-touched section.
 TEST(SectionCache, LruEvictsLeastRecentlyTouched) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   const auto img0 = section_image(0);
   const auto img1 = section_image(1);
@@ -107,44 +106,12 @@ TEST(SectionCache, LruEvictsLeastRecentlyTouched) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-// CLOCK gives every resident frame one second chance in hand order: after
-// both ref bits are spent, the hand lands back on frame 0 (section 0) —
-// even though section 0 was touched most recently. Victim order is a
-// policy property, and the two policies observably differ.
-TEST(SectionCache, ClockEvictsInHandOrderDespiteRecency) {
-  SectionCache cache(2 * kFrameBytes, Eviction::clock);
-  cache.configure(/*num_sections=*/8, kSlots);
-  const auto img0 = section_image(0);
-  const auto img1 = section_image(1);
-  const auto img2 = section_image(2);
-  cache.release(cache.populate(0, img0.data()));  // frame 0, ref=1
-  cache.release(cache.populate(1, img1.data()));  // frame 1, ref=1
-  {
-    const SectionCache::Pin p = cache.acquire(0);  // re-arms frame 0's ref
-    ASSERT_TRUE(p);
-    cache.release(p);
-  }
-  // Warm the challenger past the incumbents so thrash-resistant admission
-  // lets the eviction proceed (two misses outweigh section 0's one read).
-  (void)cache.acquire(2);
-  (void)cache.acquire(2);
-  cache.release(cache.populate(2, img2.data()));
-
-  // Sweep: frame0 ref 1->0, frame1 ref 1->0, frame0 ref==0 => victim.
-  EXPECT_FALSE(cache.acquire(0)) << "CLOCK victim should have been section 0";
-  const SectionCache::Pin kept = cache.acquire(1);
-  ASSERT_TRUE(kept);
-  EXPECT_EQ(kept.data[3], img1[3]);
-  cache.release(kept);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
 // A cold challenger cannot displace a warm incumbent (a cyclic sweep larger
 // than the cache must freeze the resident set, not churn it through
 // populates that evict before reuse), but repeated challenges age the
 // incumbent out once it stops being read — frozen, not fossilized.
 TEST(SectionCache, ColdChallengerCannotDisplaceWarmResident) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   const auto img0 = section_image(0);
   const auto img1 = section_image(1);
@@ -177,7 +144,7 @@ TEST(SectionCache, ColdChallengerCannotDisplaceWarmResident) {
 }
 
 TEST(SectionCache, PinnedFramesAreNeverEvicted) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   const auto img0 = section_image(0);
   const auto img1 = section_image(1);
@@ -195,7 +162,7 @@ TEST(SectionCache, PinnedFramesAreNeverEvicted) {
 }
 
 TEST(SectionCache, WriteThroughUpdatesResidentFrameOnly) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   auto img = section_image(4);
   cache.release(cache.populate(4, img.data()));
@@ -220,7 +187,7 @@ TEST(SectionCache, WriteThroughUpdatesResidentFrameOnly) {
 }
 
 TEST(SectionCache, InvalidateDropsFrameAndRecyclesIt) {
-  SectionCache cache(2 * kFrameBytes, Eviction::clock);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   const auto img = section_image(3);
   cache.release(cache.populate(3, img.data()));
@@ -242,7 +209,7 @@ TEST(SectionCache, InvalidateDropsFrameAndRecyclesIt) {
 }
 
 TEST(SectionCache, AdmissionRejectsWriteChurnedSections) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   // Section 2 takes a write storm with no reads: churn EWMA saturates.
   for (int i = 0; i < 64; ++i)
@@ -261,7 +228,7 @@ TEST(SectionCache, AdmissionRejectsWriteChurnedSections) {
 }
 
 TEST(SectionCache, HitAndMissCountersTrackAccesses) {
-  SectionCache cache(2 * kFrameBytes, Eviction::lru);
+  SectionCache cache(2 * kFrameBytes);
   cache.configure(/*num_sections=*/8, kSlots);
   EXPECT_FALSE(cache.acquire(0));  // miss
   const auto img = section_image(0);
@@ -290,7 +257,6 @@ TEST(DramTier, SnapshotReadsStayConsistentThroughEvictionChurn) {
   o.segment_slots = 64;
   o.max_writer_threads = 2;
   o.dram_cache_bytes = 4 << 10;  // 8 frames of 512 B: constant eviction
-  o.eviction = Eviction::clock;
   auto store = core::DgapStore::create(*pool, o);
 
   constexpr NodeId kEdges = 20000;
@@ -363,19 +329,18 @@ TEST(DramTier, SnapshotReadsStayConsistentThroughEvictionChurn) {
 // identical vertex by vertex (write-through keeps frames exact; pmem stays
 // the source of truth).
 TEST(DramTier, CachedStoreMatchesUncachedExactly) {
-  auto mk = [](std::uint64_t cache_bytes, Eviction ev) {
+  auto mk = [](std::uint64_t cache_bytes) {
     core::DgapOptions o;
     o.init_vertices = 128;
     o.init_edges = 1024;
     o.segment_slots = 64;
     o.dram_cache_bytes = cache_bytes;
-    o.eviction = ev;
     return o;
   };
   auto pool_off = pmem::PmemPool::create({.path = "", .size = 64 << 20});
   auto pool_on = pmem::PmemPool::create({.path = "", .size = 64 << 20});
-  auto off = core::DgapStore::create(*pool_off, mk(0, Eviction::lru));
-  auto on = core::DgapStore::create(*pool_on, mk(6 << 10, Eviction::lru));
+  auto off = core::DgapStore::create(*pool_off, mk(0));
+  auto on = core::DgapStore::create(*pool_on, mk(6 << 10));
 
   // Deterministic mixed workload: inserts with duplicates plus deletes.
   for (NodeId i = 0; i < 6000; ++i) {
