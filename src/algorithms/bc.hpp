@@ -71,15 +71,15 @@ std::vector<double> betweenness_centrality(
             const std::int64_t sigma_u =
                 sigma[u].load(std::memory_order_relaxed);
             g.for_each_out(u, [&](NodeId v) {
+              const std::atomic_ref<std::int32_t> depth_v(depth[v]);
               std::int32_t expected = -1;
-              if (depth[v] == -1 &&
-                  __atomic_compare_exchange_n(&depth[v], &expected,
-                                              level + 1, false,
-                                              __ATOMIC_ACQ_REL,
-                                              __ATOMIC_ACQUIRE)) {
+              if (depth_v.load(std::memory_order_relaxed) == -1 &&
+                  depth_v.compare_exchange_strong(expected, level + 1,
+                                                  std::memory_order_acq_rel,
+                                                  std::memory_order_acquire)) {
                 lqueue.push_back(v);
               }
-              if (depth[v] == level + 1)
+              if (depth_v.load(std::memory_order_relaxed) == level + 1)
                 sigma[v].fetch_add(sigma_u, std::memory_order_relaxed);
             });
           }

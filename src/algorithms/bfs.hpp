@@ -13,6 +13,7 @@
 // tests compare parents sequentially and depths at any width).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -78,11 +79,12 @@ std::int64_t td_step(const G& g, std::vector<NodeId>& parent,
           for (std::int64_t i = b; i < e; ++i) {
             const NodeId u = *(qbegin + i);
             g.for_each_out(u, [&](NodeId v) {
-              NodeId cur = parent[v];
+              const std::atomic_ref<NodeId> parent_v(parent[v]);
+              NodeId cur = parent_v.load(std::memory_order_relaxed);
               if (cur < 0) {
-                if (__atomic_compare_exchange_n(&parent[v], &cur, u, false,
-                                                __ATOMIC_ACQ_REL,
-                                                __ATOMIC_ACQUIRE)) {
+                if (parent_v.compare_exchange_strong(
+                        cur, u, std::memory_order_acq_rel,
+                        std::memory_order_acquire)) {
                   lqueue.push_back(v);
                   scout += -cur;  // degree was encoded as -(deg+1)
                 }

@@ -10,22 +10,26 @@
 //
 // Deletes can split components, and a split cannot be resolved locally —
 // but only inside the components that actually lost an edge. The kernel
-// collects the previous labels touched by any deleted edge and relabels
-// just those components' members by BFS over the member-induced subgraph
-// of the NEWER view. Two care points make that exact:
+// flags the previous labels touched by any deleted edge, resets each
+// member of those components to a singleton, and relinks the members in
+// parallel with GAPBS's lock-free min-root union-find: one pass over every
+// member's out-edges to other members, where each edge CASes the higher of
+// its endpoints' roots under the lower, then a parallel compress. Two care
+// points make that exact:
 //
-//  - The BFS adjacency is symmetrized (an edge found in either endpoint's
-//    out-list connects both ways), because full SV hooks every edge
-//    symmetrically while a delete may have absorbed only one direction of
-//    a pair — directed reachability would under-merge.
+//  - Linking keeps comp[x] <= x, so every root is its tree's minimum id —
+//    the label full SV converges to. Each directed edge links both of its
+//    endpoints, so a delete that absorbed only one direction of a pair
+//    cannot under-merge: the surviving direction still joins them, just as
+//    full SV hooks every edge symmetrically.
 //  - Restricting to members loses nothing: every surviving edge incident
 //    to a member leads to another member or was inserted since the older
 //    cut (old edges never crossed old components), and the hook pass
 //    covers the latter. Conversely the hook pass SKIPS member-member
-//    inserted edges: the surviving ones were already walked by the BFS,
-//    and an inserted edge cancelled by an in-round delete (which must be
-//    member-member — deleted endpoints are members by construction) must
-//    not merge anything.
+//    inserted edges: the surviving ones were already linked by the member
+//    pass, and an inserted edge cancelled by an in-round delete (which
+//    must be member-member — deleted endpoints are members by
+//    construction) must not merge anything.
 //
 // Everything outside the touched components keeps its previous label.
 //
@@ -35,14 +39,14 @@
 // start as singletons and are merged by the hook pass.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "src/algorithms/cc.hpp"
 #include "src/algorithms/graph_view.hpp"
-#include "src/algorithms/incremental/frontier.hpp"
 #include "src/core/snapshot_delta.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::algorithms {
 
@@ -77,66 +81,65 @@ IncrementalCcResult incremental_cc(const G& g,
 
   std::vector<std::uint8_t> member;  // non-empty only on delete rounds
   if (!delta.deleted.empty()) {
-    // Components that lost an edge: exact reconnectivity is recomputed for
-    // their members only.
-    std::unordered_set<NodeId> roots;
+    // Components that lost an edge, flagged by previous label: exact
+    // reconnectivity is recomputed for their members only.
+    std::vector<std::uint8_t> hit(static_cast<std::size_t>(n), 0);
     for (const core::DeltaEdge& e : delta.deleted) {
-      roots.insert(comp[e.src]);
-      if (e.dst >= 0 && e.dst < n) roots.insert(comp[e.dst]);
+      hit[comp[e.src]] = 1;
+      if (e.dst >= 0 && e.dst < n) hit[comp[e.dst]] = 1;
     }
     member.assign(static_cast<std::size_t>(n), 0);
-    std::vector<NodeId> members;
-    std::vector<std::uint32_t> mpos(static_cast<std::size_t>(n), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (roots.count(comp[v]) != 0) {
-        member[v] = 1;
-        mpos[v] = static_cast<std::uint32_t>(members.size());
-        members.push_back(v);
-      }
-    }
-    // Symmetrized member-induced adjacency (see header comment): an edge
-    // in either direction connects both endpoints, as full SV treats it.
-    std::vector<std::vector<NodeId>> adj(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      g.for_each_out(members[i], [&](NodeId w) {
-        if (w >= 0 && w < n && member[w] != 0) {
-          adj[i].push_back(w);
-          adj[mpos[w]].push_back(members[i]);
-        }
-      });
-    }
-    // BFS with ascending seeds: the first seed reaching a sub-component is
-    // its minimum member id — the label full SV would give it (before
-    // inserted cross edges, which the hook pass handles).
-    Frontier visited(n);
-    std::vector<NodeId> queue;
-    for (const NodeId s : members) {
-      if (visited.contains(s)) continue;
-      visited.push(s);
-      comp[s] = s;
-      queue.assign(1, s);
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        for (const NodeId w : adj[mpos[queue[head]]]) {
-          if (!visited.contains(w)) {
-            visited.push(w);
-            comp[w] = s;
-            queue.push_back(w);
+    r.recomputed_vertices = par::reduce_blocks(
+        n, 4096, std::uint64_t{0},
+        [&](std::int64_t b, std::int64_t e) {
+          std::uint64_t cnt = 0;
+          for (NodeId v = b; v < e; ++v) {
+            if (hit[comp[v]] == 0) continue;
+            member[v] = 1;
+            comp[v] = v;
+            ++cnt;
           }
-        }
+          return cnt;
+        },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    // GAPBS Link: hang the higher root under the lower with a CAS, retrying
+    // from the grandparents when another thread moved either root first.
+    auto link = [&comp](NodeId u, NodeId v) {
+      NodeId p1 = cc_detail::load(comp[u]);
+      NodeId p2 = cc_detail::load(comp[v]);
+      while (p1 != p2) {
+        const NodeId high = p1 > p2 ? p1 : p2;
+        const NodeId low = p1 + p2 - high;
+        NodeId expected = high;
+        if (std::atomic_ref<NodeId>(comp[high])
+                .compare_exchange_strong(expected, low,
+                                         std::memory_order_relaxed) ||
+            expected == low)
+          return;
+        p1 = cc_detail::load(comp[cc_detail::load(comp[high])]);
+        p2 = cc_detail::load(comp[low]);
       }
-    }
-    r.recomputed_vertices = members.size();
+    };
+    par::for_blocks(n, 1024, [&](std::int64_t b, std::int64_t e) {
+      for (NodeId u = b; u < e; ++u) {
+        if (member[u] == 0) continue;
+        g.for_each_out(u, [&](NodeId w) {
+          if (w >= 0 && w < n && member[w] != 0) link(u, w);
+        });
+      }
+    });
   }
 
-  // `comp` is now a two-level parent forest (every label is its own root):
-  // hook the inserted edges with path-halving union-find, min root wins.
+  // `comp` is now a parent forest with comp[x] <= x (previous labels are
+  // their own roots, relinked members hang under their minimum): hook the
+  // inserted edges with path-halving union-find, min root wins.
   auto find = [&comp](NodeId v) {
     while (comp[v] != comp[comp[v]]) comp[v] = comp[comp[v]];
     return comp[v];
   };
   for (const core::DeltaEdge& e : delta.inserted) {
     if (e.dst < 0 || e.dst >= n) continue;
-    // Member-member inserts are either already walked (surviving) or dead
+    // Member-member inserts are either already linked (surviving) or dead
     // (cancelled by an in-round delete) — never hook them.
     if (!member.empty() && member[e.src] != 0 && member[e.dst] != 0) continue;
     const NodeId ru = find(e.src);
@@ -145,7 +148,7 @@ IncrementalCcResult incremental_cc(const G& g,
     const NodeId hi = ru > rv ? ru : rv;
     comp[hi] = ru + rv - hi;
   }
-  for (NodeId v = 0; v < n; ++v) comp[v] = find(v);
+  cc_detail::compress(comp);
   return r;
 }
 

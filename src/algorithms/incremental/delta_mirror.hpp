@@ -30,6 +30,10 @@
 //     cut is exact by definition and deletes are the rare case.
 //   * seed mismatch (mirror's cut is not the delta's older cut): full
 //     rebuild from `newer`, counted in full_rebuilds().
+//
+// apply() runs the per-vertex maintenance in parallel on par:: (each
+// changed vertex has exactly one writer), so the re-reads from the cut —
+// the charged pmem part of a delete round — overlap across kernel threads.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +42,7 @@
 #include "src/algorithms/graph_view.hpp"
 #include "src/core/snapshot_delta.hpp"
 #include "src/graph/types.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::algorithms {
 
@@ -54,7 +59,10 @@ class DeltaMirror {
   }
 
   // Advance the mirror from the delta's older cut to `newer`. O(delta)
-  // plus O(deg) for each vertex that saw a delete this round.
+  // plus O(deg) for each vertex that saw a delete this round. One serial
+  // pass records each changed vertex's runs in delta.inserted/deleted; the
+  // per-vertex appends and re-reads then run in parallel over `changed`,
+  // which is unique, so every adj_[v] and slot_degree_[v] has one writer.
   template <GraphView View>
   void apply(const core::SnapshotDelta& delta, const View& newer) {
     if (static_cast<NodeId>(adj_.size()) != delta.nodes_before) {
@@ -65,28 +73,52 @@ class DeltaMirror {
     const NodeId n = delta.nodes_after;
     adj_.resize(static_cast<std::size_t>(n));
     slot_degree_.resize(static_cast<std::size_t>(n), 0);
-    std::size_t ii = 0;  // cursor into delta.inserted
-    std::size_t di = 0;  // cursor into delta.deleted
-    for (const NodeId v : delta.changed) {
-      const std::size_t ins_begin = ii;
+    // Run k of vertex changed[k] is [ins_at[k], ins_at[k+1]) in
+    // delta.inserted and [del_at[k], del_at[k+1]) in delta.deleted.
+    const std::size_t nc = delta.changed.size();
+    std::vector<std::size_t> ins_at(nc + 1);
+    std::vector<std::size_t> del_at(nc + 1);
+    std::size_t ii = 0;
+    std::size_t di = 0;
+    for (std::size_t k = 0; k < nc; ++k) {
+      const NodeId v = delta.changed[k];
+      ins_at[k] = ii;
       while (ii < delta.inserted.size() && delta.inserted[ii].src == v) ++ii;
-      const std::size_t del_begin = di;
+      del_at[k] = di;
       while (di < delta.deleted.size() && delta.deleted[di].src == v) ++di;
-
-      const std::uint32_t new_slots =
-          static_cast<std::uint32_t>(newer.out_degree(v));
-      total_slots_ += new_slots - slot_degree_[v];
-      slot_degree_[v] = new_slots;
-
-      if (di != del_begin) {
-        ++rebuilt_vertices_;
-        adj_[v].clear();
-        newer.for_each_out(v, [&](NodeId d) { adj_[v].push_back(d); });
-      } else {
-        for (std::size_t k = ins_begin; k < ii; ++k)
-          adj_[v].push_back(delta.inserted[k].dst);
-      }
     }
+    ins_at[nc] = ii;
+    del_at[nc] = di;
+
+    const ApplyTally t = par::reduce_blocks(
+        static_cast<std::int64_t>(nc), 64, ApplyTally{},
+        [&](std::int64_t b, std::int64_t e) {
+          ApplyTally part;
+          for (std::int64_t k = b; k < e; ++k) {
+            const NodeId v = delta.changed[k];
+            const auto new_slots =
+                static_cast<std::uint32_t>(newer.out_degree(v));
+            part.slot_delta += static_cast<std::int64_t>(new_slots) -
+                               static_cast<std::int64_t>(slot_degree_[v]);
+            slot_degree_[v] = new_slots;
+            std::vector<NodeId>& out = adj_[v];
+            if (del_at[k + 1] != del_at[k]) {
+              ++part.rebuilt;
+              out.clear();
+              newer.for_each_out(v, [&](NodeId d) { out.push_back(d); });
+            } else {
+              for (std::size_t i = ins_at[k]; i < ins_at[k + 1]; ++i)
+                out.push_back(delta.inserted[i].dst);
+            }
+          }
+          return part;
+        },
+        [](ApplyTally a, ApplyTally b) {
+          return ApplyTally{a.slot_delta + b.slot_delta,
+                            a.rebuilt + b.rebuilt};
+        });
+    total_slots_ += static_cast<std::uint64_t>(t.slot_delta);
+    rebuilt_vertices_ += t.rebuilt;
   }
 
   // --- GraphView -----------------------------------------------------------
@@ -112,6 +144,11 @@ class DeltaMirror {
   [[nodiscard]] std::uint64_t full_rebuilds() const { return full_rebuilds_; }
 
  private:
+  struct ApplyTally {
+    std::int64_t slot_delta = 0;
+    std::uint64_t rebuilt = 0;
+  };
+
   template <GraphView View>
   void rebuild_from(const View& view) {
     const NodeId n = view.num_nodes();

@@ -1,9 +1,8 @@
-// Shared scaffolding for the incremental kernels: a deduplicating vertex
-// worklist (dense byte bitmap + insertion-ordered vector). The bitmap makes
-// push idempotent — the delta-seeded kernels push the same vertex from many
-// edges — and the vector preserves a deterministic processing order, which
-// the incremental CC relabel relies on (ascending seeds => first seed to
-// reach a sub-component is its minimum id).
+// Worklist for incremental PageRank's frontier phase: a deduplicating
+// vertex set (dense byte bitmap + insertion-ordered vector). The bitmap
+// makes push idempotent — the delta-seeded kernel pushes the same vertex
+// from many edges — and the vector preserves a deterministic processing
+// order.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,7 @@ std::unique_ptr<BalStore> BalStore::create(pmem::PmemPool& pool,
   store->heads_.resize(n);
   store->degree_ = std::vector<std::atomic<std::int64_t>>(n);
   store->locks_ = std::make_unique<SpinLock[]>(n);
-  store->lock_count_ = n;
+  store->num_nodes_.store(n, std::memory_order_release);
   return store;
 }
 
@@ -53,7 +53,7 @@ void BalStore::insert_vertex(NodeId v) {
   degree_ = std::move(bigger);
   auto locks = std::make_unique<SpinLock[]>(new_size);
   locks_ = std::move(locks);
-  lock_count_ = new_size;
+  num_nodes_.store(new_size, std::memory_order_release);
 }
 
 void BalStore::insert_edge(NodeId src, NodeId dst) {

@@ -36,7 +36,7 @@ class BalStore {
   void insert_batch(std::span<const Edge> edges);
 
   [[nodiscard]] NodeId num_nodes() const {
-    return static_cast<NodeId>(heads_.size());
+    return static_cast<NodeId>(num_nodes_.load(std::memory_order_acquire));
   }
   [[nodiscard]] std::int64_t out_degree(NodeId v) const {
     return degree_[v].load(std::memory_order_acquire);
@@ -75,9 +75,12 @@ class BalStore {
   pmem::PmemPool& pool_;
   std::uint32_t block_edges_ = 30;
   std::vector<VertexHead> heads_;
+  // heads_.size(), published after growth has swapped every per-vertex
+  // array, so the lock-free fast path in insert_vertex never reads heads_
+  // while a grower resizes it.
+  std::atomic<std::size_t> num_nodes_{0};
   std::vector<std::atomic<std::int64_t>> degree_;
   std::unique_ptr<SpinLock[]> locks_;  // per-vertex (paper §4.2.1)
-  std::size_t lock_count_ = 0;
   SpinLock grow_mu_;
   // Vertex growth swaps locks_ and reallocates heads_/degree_; in-flight
   // writers hold this shared for the duration of their per-vertex critical

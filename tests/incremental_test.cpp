@@ -3,9 +3,11 @@
 // script applied between two cuts (inserts AND deletes, unsharded and
 // sharded), the delta-seeded kernels must track the from-scratch kernels
 // under randomized mutation rounds (CC labels exactly, PR within the
-// published tolerance bound), a layout retirement must flip to the O(V)
-// fallback with identical output, and the windowed structural gate must
-// keep out-of-window snapshot reads flowing mid-rebalance.
+// published tolerance bound) at kernel widths 1, 2 and 4 — including
+// delete rounds inside an RMAT giant component and one-direction deletes —
+// a layout retirement must flip to the O(V) fallback with identical output,
+// and the windowed structural gate must keep out-of-window snapshot reads
+// flowing mid-rebalance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -240,7 +242,7 @@ TEST(SnapshotDelta, ShardedDiffRemapsToGlobalIds) {
 // (which must SURVIVE — tombstones only cancel prior inserts), partial
 // deletion of parallel duplicate edges, and vertex growth. A stale mirror
 // fed a delta from the wrong base cut must detect the mismatch and rebuild.
-TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
+void mirror_survives_interleaved_mutations() {
   auto pool = make_pool(32);
   auto store = DgapStore::create(*pool, small_opts());
   store->insert_edge(0, 1);
@@ -277,7 +279,7 @@ TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
   Snapshot c1 = store->consistent_view();
   mirror.apply(snapshot_delta(prev, c1), c1);
   expect_identical(mirror, c1);
-  EXPECT_GT(mirror.rebuilt_vertices(), 0u);
+  EXPECT_EQ(mirror.rebuilt_vertices(), 3u);  // sources 0, 3 and 5 deleted
 
   // Round 2: insert (5,9) AFTER the dangling tombstone — the append path
   // must keep it (the old tombstone pairs only with PRIOR inserts).
@@ -287,6 +289,7 @@ TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
   mirror.apply(snapshot_delta(c1, c2), c2);
   expect_identical(mirror, c2);
   EXPECT_EQ(mirror.full_rebuilds(), 0u);
+  EXPECT_EQ(mirror.rebuilt_vertices(), 3u);  // insert-only: appends
   std::vector<NodeId> five;
   mirror.for_each_out(5, [&](NodeId d) { five.push_back(d); });
   EXPECT_EQ(five, std::vector<NodeId>{9});
@@ -301,11 +304,21 @@ TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
   expect_identical(stale, c2);
 }
 
+// Runs at kernel widths 1, 2 and 4: apply() maintains changed vertices in
+// parallel.
+TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
+  for (const int width : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const par::ScopedKernelThreads threads(width);
+    mirror_survives_interleaved_mutations();
+  }
+}
+
 // Randomized mutation rounds: the delta-seeded kernels must track the
 // from-scratch kernels on every cut — CC labels bit-exact (both converge to
 // min-id component labels), PR within the triangle-inequality bound
 // 2*tolerance/(1-damping) that the bench enforces per round.
-TEST(IncrementalKernels, TrackFullKernelsUnderRandomizedRounds) {
+void track_full_kernels_under_randomized_rounds() {
   auto pool = make_pool(64);
   DgapOptions opts = small_opts();
   opts.init_vertices = 256;
@@ -359,8 +372,15 @@ TEST(IncrementalKernels, TrackFullKernelsUnderRandomizedRounds) {
     const SnapshotDelta delta = snapshot_delta(prev, cut);
     EXPECT_FALSE(delta.empty());
 
+    // Exactly the sources with a delete event are re-read from the cut.
+    std::set<NodeId> deleted_srcs;
+    for (const DeltaEdge& e : delta.deleted) deleted_srcs.insert(e.src);
+    const std::uint64_t rebuilt_before = mirror.rebuilt_vertices();
     mirror.apply(delta, cut);
     EXPECT_EQ(mirror.full_rebuilds(), 0u) << "round " << round;
+    EXPECT_EQ(mirror.rebuilt_vertices() - rebuilt_before,
+              deleted_srcs.size())
+        << "round " << round;
     ASSERT_EQ(mirror.num_nodes(), cut.num_nodes()) << "round " << round;
     for (NodeId v = 0; v < cut.num_nodes(); ++v) {
       EXPECT_EQ(mirror.out_degree(v), cut.out_degree(v))
@@ -398,6 +418,16 @@ TEST(IncrementalKernels, TrackFullKernelsUnderRandomizedRounds) {
     prev = std::move(cut);
     scores = std::move(ipr_res.scores);
     labels = icc_res.labels;
+  }
+}
+
+// The mirror's apply and the CC relink both run on par::, so the whole
+// randomized sequence is repeated at kernel widths 1, 2 and 4.
+TEST(IncrementalKernels, TrackFullKernelsUnderRandomizedRounds) {
+  for (const int width : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const par::ScopedKernelThreads threads(width);
+    track_full_kernels_under_randomized_rounds();
   }
 }
 
@@ -493,6 +523,107 @@ TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {
   // The recompute stayed scoped to the old bridged component (8 vertices):
   // the clique and the untouched id space were never visited.
   EXPECT_LE(r.recomputed_vertices, 8u);
+}
+
+// Delete rounds inside the giant component of an RMAT graph: the scoped
+// relink then covers most of the graph, so the parallel CAS linking runs
+// with real contention. Every round must reproduce connected_components on
+// the same cut exactly, at kernel widths 1, 2 and 4.
+TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
+  constexpr NodeId kVertices = 4096;
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = kVertices;
+  opts.init_edges = 1 << 16;
+  auto store = DgapStore::create(*pool, opts);
+  std::vector<Edge> live;
+  const auto stream = symmetrize(generate_rmat(kVertices, 12000, 41));
+  for (const Edge& e : stream.edges()) {
+    store->insert_edge(e.src, e.dst);
+    live.push_back(e);
+  }
+
+  std::mt19937 rng(43);
+  Snapshot prev = store->consistent_view();
+  std::vector<NodeId> labels = algorithms::connected_components(prev);
+  auto mirror = algorithms::DeltaMirror::build(prev);
+  for (const int width : {1, 2, 4}) {
+    const par::ScopedKernelThreads threads(width);
+    for (int round = 0; round < 20; ++round) {
+      SCOPED_TRACE(testing::Message()
+                   << "width " << width << " round " << round);
+      // One delete inside the giant component, plus random deletes that
+      // may split off leaves, and a few inserts to re-merge.
+      std::vector<std::size_t> sizes(labels.size(), 0);
+      for (const NodeId l : labels) ++sizes[l];
+      const auto giant = static_cast<NodeId>(
+          std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+      const std::size_t giant_size = sizes[giant];
+      ASSERT_GT(giant_size, static_cast<std::size_t>(kVertices) / 4);
+      std::size_t k = rng() % live.size();
+      while (labels[live[k].src] != giant) k = rng() % live.size();
+      for (int d = 0; d < 8; ++d) {
+        store->delete_edge(live[k].src, live[k].dst);
+        live[k] = live.back();
+        live.pop_back();
+        k = rng() % live.size();
+      }
+      for (int i = 0; i < 8; ++i) {
+        const Edge e{static_cast<NodeId>(rng() % kVertices),
+                     static_cast<NodeId>(rng() % kVertices)};
+        store->insert_edge(e.src, e.dst);
+        live.push_back(e);
+      }
+
+      Snapshot cut = store->consistent_view();
+      const SnapshotDelta delta = snapshot_delta(prev, cut);
+      mirror.apply(delta, cut);
+      const auto r = algorithms::incremental_cc(mirror, delta, labels);
+      ASSERT_FALSE(r.full_fallback);
+      EXPECT_GE(r.recomputed_vertices, giant_size);
+      ASSERT_EQ(r.labels, algorithms::connected_components(cut));
+      labels = r.labels;
+      prev = std::move(cut);
+    }
+  }
+}
+
+// A delete may absorb only one direction of a symmetric pair. Full SV still
+// hooks the surviving direction, so the incremental relink must too — in
+// both orientations (surviving edge from the higher id and from the lower).
+TEST(IncrementalKernels, OneDirectionDeleteKeepsComponentJoined) {
+  for (const bool drop_low_to_high : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "drop (1,2): " << drop_low_to_high);
+    auto pool = make_pool(32);
+    auto store = DgapStore::create(*pool, small_opts());
+    // Path 0-1-2-3 with both directions of every edge, plus 5-6.
+    for (NodeId v = 0; v < 3; ++v) {
+      store->insert_edge(v, v + 1);
+      store->insert_edge(v + 1, v);
+    }
+    store->insert_edge(5, 6);
+    store->insert_edge(6, 5);
+    const Snapshot a = store->consistent_view();
+    const std::vector<NodeId> labels = algorithms::connected_components(a);
+
+    // Cut the middle edge in one direction only: (1,2) or (2,1) survives.
+    if (drop_low_to_high) {
+      store->delete_edge(1, 2);
+    } else {
+      store->delete_edge(2, 1);
+    }
+    const Snapshot b = store->consistent_view();
+    const SnapshotDelta d = snapshot_delta(a, b);
+    ASSERT_EQ(d.deleted.size(), 1u);
+    auto mirror = algorithms::DeltaMirror::build(a);
+    mirror.apply(d, b);
+    const auto r = algorithms::incremental_cc(mirror, d, labels);
+    EXPECT_FALSE(r.full_fallback);
+    EXPECT_EQ(r.labels, algorithms::connected_components(b));
+    EXPECT_EQ(r.labels[3], 0);  // still one path component
+    EXPECT_EQ(r.labels[6], 5);  // untouched component keeps its label
+    EXPECT_EQ(r.recomputed_vertices, 4u);
+  }
 }
 
 // Regression for the windowed structural gate: while a rebalance window is
