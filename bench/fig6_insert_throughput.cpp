@@ -15,14 +15,6 @@
 // the batch path collapses per-edge section locking and per-edge
 // flush+fence epochs into per-group ones.
 //
-// --shards=a,b,c adds a sharded-DGAP sweep (src/core/sharded_store.hpp):
-// the vertex-id space is partitioned across S independent DGAP shards, each
-// in its own pool with its own locks and rebalance domain. The S=1 baseline
-// is always measured and a sharded-vs-unsharded speedup table printed; when
-// --async-writers is also given, the async sweep runs over the sharded
-// store too (staging queues routed shard-exclusively, absorbers draining
-// different shards in full parallel — the NUMA-ready split).
-//
 // --async-writers=a,b sweeps the asynchronous ingestion subsystem
 // (src/ingest): one producer submits chunks to per-section-group staging
 // queues, K background absorbers drain them through insert_batch, and the
@@ -187,51 +179,6 @@ int main(int argc, char** argv) {
         }
         cmp.print(std::cout);
       }
-    }
-  }
-
-  // --- sharded DGAP sweep (--shards=a,b) ------------------------------------
-  if (!cfg.shards.empty() &&
-      (cfg.only_system.empty() || cfg.only_system == "dgap")) {
-    const std::vector<int> shard_counts = sharded_sweep_counts(cfg);
-    const std::size_t max_batch =
-        *std::max_element(batches.begin(), batches.end());
-    const std::size_t batch = max_batch > 1 ? max_batch : 256;
-
-    std::cout << "\n--- DGAP sharded: sync insert_batch, batch=" << batch
-              << " (MEPS; speedup vs S=1) ---\n";
-    print_sharded_sweep(
-        cfg, shard_counts,
-        [&](const std::string& name, int s) {
-          const EdgeStream& stream = streams.at(name);
-          auto store =
-              make_sharded_store(s, stream.num_vertices(), stream.num_edges(),
-                                 1, cfg.pool_mb, cfg.tuning);
-          return time_inserts_batched(stream, batch,
-                                      [&](std::span<const Edge> part) {
-                                        store->insert_batch(part);
-                                      })
-              .meps;
-        },
-        std::cout);
-
-    for (const int absorbers : cfg.async_writers) {
-      std::cout << "\n--- DGAP sharded async: absorbers=" << absorbers
-                << " submit-batch=" << batch
-                << " (end-to-end MEPS; speedup vs S=1) ---\n";
-      print_sharded_sweep(
-          cfg, shard_counts,
-          [&](const std::string& name, int s) {
-            const EdgeStream& stream = streams.at(name);
-            auto store = make_sharded_store(s, stream.num_vertices(),
-                                            stream.num_edges(), absorbers,
-                                            cfg.pool_mb, cfg.tuning);
-            auto ingestor = store->make_async(async_options(cfg, absorbers));
-            return time_inserts_async(stream, /*producers=*/1, batch,
-                                      *ingestor)
-                .meps;
-          },
-          std::cout);
     }
   }
   return 0;

@@ -5,9 +5,6 @@
 // of BAL / LLAMA / XPGraph on these whole-graph kernels, and usually ahead
 // of GraphOne-FD despite GraphOne analyzing from DRAM, because the mutable
 // CSR keeps cache locality that an adjacency list lacks.
-// --shards=a,b adds a sharded-DGAP section: the same kernels run over the
-// composed per-shard snapshots (ShardedSnapshot), demonstrating that
-// analysis is not regressed by partitioning ingestion.
 // --csr-cache adds the SnapshotCsrCache section: PR and CC run over ONE
 // snapshot twice — raw, and through the cached CSR materialization of the
 // same cut — with results verified identical and the second-kernel speedup
@@ -75,12 +72,11 @@ int run(const Cli& cli, BenchConfig& cfg) {
       "Figure 7: PR and CC time normalized to CSR on PM (1 thread)", cfg);
   const ObsSession obs(cfg);
 
-  // Load each dataset once; the kernel loops and the sharded section reuse
-  // the streams, and the CSR baselines are cached for the sharded rows.
+  // Load each dataset once; the kernel loops and the sections below reuse
+  // the streams.
   std::map<std::string, EdgeStream> streams;
   for (const auto& name : cfg.datasets)
     streams.emplace(name, load_dataset(name, cfg.scale));
-  std::map<std::string, double> base_pr, base_cc;
 
   for (const char* kernel : {"PR", "CC"}) {
     std::cout << "\n--- " << kernel << " ---\n";
@@ -94,7 +90,6 @@ int run(const Cli& cli, BenchConfig& cfg) {
       auto csr = make_csr(*csr_pool, stream);
       const bool is_pr = std::string(kernel) == "PR";
       const double base = is_pr ? csr->time_pagerank(1) : csr->time_cc(1);
-      (is_pr ? base_pr : base_cc)[name] = base;
       std::vector<std::string> row = {name, TablePrinter::fmt(base, 3)};
       for (const auto& sys : kDynamicSystems) {
         if (!cfg.only_system.empty() && sys != cfg.only_system) {
@@ -112,30 +107,6 @@ int run(const Cli& cli, BenchConfig& cfg) {
         row.push_back(TablePrinter::fmt(t / base));
       }
       table.add_row(std::move(row));
-    }
-    table.print(std::cout);
-  }
-
-  // --- sharded snapshots (--shards=a,b): analysis must not regress ----------
-  if (!cfg.shards.empty() &&
-      (cfg.only_system.empty() || cfg.only_system == "dgap")) {
-    std::cout << "\n--- DGAP sharded snapshots (xCSR, 1 thread) ---\n";
-    TablePrinter table({"Graph", "shards", "PR xCSR", "CC xCSR"});
-    for (const auto& name : cfg.datasets) {
-      const EdgeStream& stream = streams.at(name);
-      for (const int s : sharded_sweep_counts(cfg)) {
-        auto store = make_sharded_store(s, stream.num_vertices(),
-                                        stream.num_edges(), 1, cfg.pool_mb);
-        constexpr std::size_t kChunk = 8192;
-        const auto all = stream.all();
-        for (std::size_t i = 0; i < all.size(); i += kChunk)
-          store->insert_batch(
-              all.subspan(i, std::min(kChunk, all.size() - i)));
-        table.add_row(
-            {name, std::to_string(s),
-             TablePrinter::fmt(store->time_pagerank(1) / base_pr.at(name)),
-             TablePrinter::fmt(store->time_cc(1) / base_cc.at(name))});
-      }
     }
     table.print(std::cout);
   }

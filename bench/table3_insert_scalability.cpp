@@ -4,18 +4,12 @@
 // Expected shape (paper §4.2.1): DGAP scales with threads and is best or
 // near-best; BAL occasionally wins thanks to per-vertex locks; XPGraph wins
 // on the three small graphs whose entire edge set fits in its circular log.
-// NOTE: this container exposes 2 hardware threads — counts above that
-// oversubscribe, so absolute scaling tops out early (recorded in
-// EXPERIMENTS.md).
+// NOTE: thread counts above the host's hardware threads oversubscribe, so
+// absolute scaling tops out at the core count.
 //
 // --async-writers=a,b adds an async-ingestion sweep: the T thread counts
 // become producer counts submitting to the staging queues while K
 // background absorbers drain into each store (src/ingest).
-//
-// --shards=a,b adds a sharded-DGAP scalability sweep: T concurrent writers
-// drive insert_batch against S independent shards (writers touching
-// different shards share no section lock, fence or rebalance domain); S=1
-// is always measured as the speedup baseline.
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -161,35 +155,6 @@ int main(int argc, char** argv) {
         }
         table.print(std::cout);
       }
-    }
-  }
-
-  // --- sharded DGAP sweep (--shards=a,b) ------------------------------------
-  if (!cfg.shards.empty() &&
-      (cfg.only_system.empty() || cfg.only_system == "dgap")) {
-    const std::vector<int> shard_counts = sharded_sweep_counts(cfg);
-    const std::size_t batch =
-        std::max<std::size_t>(*std::max_element(cfg.batches.begin(),
-                                                cfg.batches.end()),
-                              256);
-    for (const int threads : thread_counts) {
-      std::cout << "\n--- DGAP sharded: T" << threads
-                << " concurrent writers, batch=" << batch
-                << " (MEPS; speedup vs S=1) ---\n";
-      print_sharded_sweep(
-          cfg, shard_counts,
-          [&](const std::string& name, int s) {
-            const EdgeStream& stream = streams.at(name);
-            auto store = make_sharded_store(s, stream.num_vertices(),
-                                            stream.num_edges(), threads,
-                                            cfg.pool_mb, cfg.tuning);
-            return time_inserts_mt_batched(stream, threads, batch,
-                                           [&](std::span<const Edge> part) {
-                                             store->insert_batch(part);
-                                           })
-                .meps;
-          },
-          std::cout);
     }
   }
   return 0;

@@ -76,16 +76,6 @@ int main(int argc, char** argv) {
       for (const Edge& e : stream.edges()) store->insert(e.src, e.dst);
       stores.emplace_back("dgap-cache", std::move(store));
     }
-    // --shards=a,b: kernels over composed per-shard snapshots (analysis
-    // scalability must survive partitioned ingestion).
-    if (cfg.only_system.empty() || cfg.only_system == "dgap") {
-      for (const int s : cfg.shards) {
-        auto store = make_sharded_store(s, stream.num_vertices(),
-                                        stream.num_edges(), 1, cfg.pool_mb);
-        for (const Edge& e : stream.edges()) store->insert(e.src, e.dst);
-        stores.emplace_back("dgap-sh" + std::to_string(s), std::move(store));
-      }
-    }
 
     std::cout << "\n--- " << name << " ---\n";
     TablePrinter table({"System", "PR.T1", "PR.T16", "BFS.T1", "BFS.T16",

@@ -3,12 +3,8 @@
 // shuffled stream everywhere, print insert throughput, then run the four
 // GAPBS kernels and print runtimes (normalized to CSR).
 //
-// A sharded-DGAP row (S independent shard pools, composed snapshots —
-// src/core/sharded_store.hpp) rides along so the quickstart path shows the
-// scaling store too.
-//
 // Run:  ./examples/compare_stores [--dataset orkut] [--scale 0.05]
-//                                 [--shards 2] [--ingest-profile balanced]
+//                                 [--ingest-profile balanced]
 #include <iostream>
 
 #include "src/bench_common/harness.hpp"
@@ -23,12 +19,8 @@ int main(int argc, char** argv) {
   const std::string dataset = cli.get("dataset", "orkut");
   const double scale = cli.get_double("scale", 0.05);
   const bool latency = cli.get_bool("latency", true);
-  int shards = 2;
   StoreTuning tuning;
   try {
-    if (cli.has("shards"))
-      shards = static_cast<int>(parse_positive_int_capped(
-          cli.get("shards", ""), "--shards", kMaxShardsCli));
     if (cli.has("ingest-profile"))
       tuning.profile = parse_ingest_profile(cli.get("ingest-profile", ""));
   } catch (const std::exception& ex) {
@@ -68,20 +60,6 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(store->time_cc(2) / csr_cc)});
   }
 
-  // Sharded DGAP: same workload across `shards` independent shard pools;
-  // the kernels run over the composed per-shard snapshots.
-  {
-    auto store = make_sharded_store(shards, stream.num_vertices(),
-                                    stream.num_edges(), 1, 512, tuning);
-    const InsertResult ins = time_inserts(
-        stream, [&](NodeId u, NodeId v) { store->insert(u, v); });
-    table.add_row({"dgap-sh" + std::to_string(shards),
-                   TablePrinter::fmt(ins.meps),
-                   TablePrinter::fmt(store->time_pagerank(2) / csr_pr),
-                   TablePrinter::fmt(store->time_bfs(2, source) / csr_bfs),
-                   TablePrinter::fmt(store->time_bc(2, source) / csr_bc),
-                   TablePrinter::fmt(store->time_cc(2) / csr_cc)});
-  }
   table.print(std::cout);
   std::cout << "\nLower xCSR is better (CSR is the static analysis "
                "optimum); higher MEPS is better.\n";

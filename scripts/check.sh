@@ -17,11 +17,6 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 ./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
   --async-writers 2
 
-# Smoke-run a sharded fig6 config: S=2 shards, batched + per-edge paths,
-# sharded-vs-unsharded speedup table included.
-./build/fig6_insert_throughput --shards=2 --datasets=orkut --scale=0.02 \
-  --batch=256 --system=dgap --pool-mb=256
-
 # Smoke-run the task scheduler end to end: a 2-worker pool sized via
 # --threads, absorbers running as scheduler tasks, and the analysis
 # kernels on the sched execution path (--sched) instead of OpenMP.
@@ -134,11 +129,6 @@ expect_reject ./build/fig6_insert_throughput --batch=-4
 expect_reject ./build/fig6_insert_throughput --batch=0
 expect_reject ./build/fig6_insert_throughput --batch=5x
 expect_reject ./build/table3_insert_scalability --async-writers=-2
-expect_reject ./build/fig6_insert_throughput --shards=0
-expect_reject ./build/fig6_insert_throughput --shards=nope
-expect_reject ./build/fig6_insert_throughput --shards=2x
-expect_reject ./build/table3_insert_scalability --shards=0
-expect_reject ./build/compare_stores --shards=0
 expect_reject ./build/fig6_insert_throughput --ingest-profile=turbo
 expect_reject ./build/fig6_insert_throughput --section-slots=0
 expect_reject ./build/fig6_insert_throughput --section-slots=5x

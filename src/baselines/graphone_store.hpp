@@ -14,9 +14,9 @@
 // pay the per-block pointer chase (it loses PR/CC to CSR-shaped layouts,
 // Fig 7).
 //
-// NOTE (EXPERIMENTS.md): this is a lean reimplementation; the original
-// research prototype carries much heavier per-edge software overhead, so
-// our GraphOne-FD ingests faster relative to DGAP than the paper reports.
+// NOTE: this is a lean reimplementation; the original research prototype
+// carries much heavier per-edge software overhead, so our GraphOne-FD
+// ingests faster relative to DGAP than the paper reports.
 #pragma once
 
 #include <atomic>

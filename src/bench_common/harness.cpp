@@ -23,7 +23,6 @@
 #include "src/common/table.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 #include "src/core/snapshot_delta.hpp"
 #include "src/obs/metrics_registry.hpp"
 #include "src/obs/trace_ring.hpp"
@@ -54,14 +53,6 @@ BenchConfig parse_common(const Cli& cli, double default_scale,
     for (const auto& k : split_csv(aw))
       cfg.async_writers.push_back(static_cast<int>(
           parse_positive_int_capped(k, "--async-writers", 1024)));
-  }
-  if (cli.has("shards")) {
-    const std::string sh = cli.get("shards", "");
-    if (sh.empty())
-      throw std::invalid_argument("--shards expects positive integers");
-    for (const auto& s : split_csv(sh))
-      cfg.shards.push_back(static_cast<int>(
-          parse_positive_int_capped(s, "--shards", kMaxShardsCli)));
   }
   if (cli.has("ingest-profile"))
     cfg.tuning.profile = parse_ingest_profile(cli.get("ingest-profile", ""));
@@ -167,40 +158,6 @@ ingest::AsyncIngestor::Options async_options(const BenchConfig& cfg,
   o.autotune = cfg.autotune;
   if (!cfg.autotune) o.absorb_min_edges = cfg.absorb_min;
   return o;
-}
-
-// Shard counts for a sharded sweep: the requested counts plus the S=1
-// baseline, deduplicated, ascending.
-std::vector<int> sharded_sweep_counts(const BenchConfig& cfg) {
-  std::vector<int> counts = cfg.shards;
-  counts.push_back(1);
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  return counts;
-}
-
-void print_sharded_sweep(
-    const BenchConfig& cfg, const std::vector<int>& counts,
-    const std::function<double(const std::string& dataset, int shards)>&
-        measure,
-    std::ostream& os) {
-  std::vector<std::string> header = {"Graph"};
-  for (const int s : counts) header.push_back("S=" + std::to_string(s));
-  header.push_back("speedup");
-  TablePrinter table(header);
-  for (const auto& name : cfg.datasets) {
-    std::vector<std::string> row = {name};
-    double base = 0;
-    double last = 0;
-    for (const int s : counts) {
-      last = measure(name, s);
-      if (s == counts.front()) base = last;
-      row.push_back(TablePrinter::fmt(last));
-    }
-    row.push_back(base > 0 ? TablePrinter::fmt(last / base) : "-");
-    table.add_row(std::move(row));
-  }
-  table.print(os);
 }
 
 AsyncInsertResult time_inserts_async(const EdgeStream& stream, int producers,
@@ -747,58 +704,6 @@ class DgapModel final : public IStore {
   std::unique_ptr<core::DgapStore> store_;
 };
 
-// DGAP sharded across S independent pools: every IStore operation routes
-// through ShardedStore (bucket by shard, absorb per shard), and analysis
-// runs over the composed per-shard snapshots.
-class ShardedDgapModel final : public IStore {
- public:
-  explicit ShardedDgapModel(std::unique_ptr<core::ShardedStore> store)
-      : store_(std::move(store)) {}
-  void insert(NodeId s, NodeId d) override { store_->insert_edge(s, d); }
-  void insert_batch(std::span<const Edge> edges) override {
-    store_->insert_batch(edges);
-  }
-  std::unique_ptr<ingest::AsyncIngestor> make_async(
-      ingest::AsyncIngestor::Options opts) override {
-    // ShardedStore owns the async wiring: queue -> shard routing, rounded
-    // queue counts, unserialized sink with delete support.
-    return store_->make_async(std::move(opts));
-  }
-  [[nodiscard]] bool concurrent_batch_safe() const override { return true; }
-  [[nodiscard]] std::uint64_t num_edges() const override {
-    return store_->num_edge_slots();
-  }
-  [[nodiscard]] tier::CacheStats cache_stats() const override {
-    return store_->cache_stats();
-  }
-  [[nodiscard]] obs::HistogramSnapshot freeze_hist() const override {
-    return store_->freeze_latency();
-  }
-  NodeId pick_source() override {
-    return algorithms::max_degree_vertex(store_->consistent_view());
-  }
-  double time_pagerank(int threads) override {
-    const auto v = store_->consistent_view();
-    return KernelMixin<core::ShardedSnapshot>::pr(v, threads);
-  }
-  double time_bfs(int threads, NodeId source) override {
-    const auto v = store_->consistent_view();
-    return KernelMixin<core::ShardedSnapshot>::bfs_t(v, threads, source);
-  }
-  double time_bc(int threads, NodeId source) override {
-    const auto v = store_->consistent_view();
-    return KernelMixin<core::ShardedSnapshot>::bc_t(v, threads, source);
-  }
-  double time_cc(int threads) override {
-    const auto v = store_->consistent_view();
-    return KernelMixin<core::ShardedSnapshot>::cc_t(v, threads);
-  }
-  core::ShardedStore& store() { return *store_; }
-
- private:
-  std::unique_ptr<core::ShardedStore> store_;
-};
-
 template <typename Store>
 class BaselineModel final : public IStore {
  public:
@@ -913,30 +818,6 @@ std::unique_ptr<IStore> make_store(const std::string& kind,
 std::unique_ptr<IStore> make_csr(pmem::PmemPool& pool,
                                  const EdgeStream& stream) {
   return std::make_unique<CsrModel>(pool, stream);
-}
-
-std::unique_ptr<IStore> make_sharded_store(int shards, NodeId vertices,
-                                           std::uint64_t edges_estimate,
-                                           int writer_threads,
-                                           std::uint64_t pool_mb_total,
-                                           const StoreTuning& tuning) {
-  core::ShardedStore::Options o;
-  o.dgap.ingest_profile = tuning.profile;
-  o.dgap.section_slots_hint = tuning.section_slots;
-  // Global budget: shard_options slices it evenly across shards.
-  o.dgap.dram_cache_mb = tuning.dram_cache_mb;
-  o.shards = static_cast<std::size_t>(std::max(shards, 1));
-  // Split the budget so every shard count runs with the same TOTAL pool
-  // memory as the S=1 baseline (a bigger aggregate would skew the
-  // sharded-vs-unsharded speedup). The small floor keeps extreme S over a
-  // tiny budget functional; at the default --pool-mb it never engages.
-  o.pool_bytes = std::max<std::uint64_t>(pool_mb_total / o.shards, 8) << 20;
-  o.dgap.init_vertices = vertices;
-  o.dgap.init_edges = edges_estimate;
-  // Writers + main thread + per-shard open/recovery thread slack.
-  o.dgap.max_writer_threads =
-      static_cast<std::uint32_t>(std::max(writer_threads, 1) + 2);
-  return std::make_unique<ShardedDgapModel>(core::ShardedStore::create(o));
 }
 
 }  // namespace dgap::bench

@@ -61,10 +61,6 @@ struct BenchConfig {
   // Async-ingestion absorber-thread counts to sweep (--async-writers=a,b);
   // empty = no async sweep.
   std::vector<int> async_writers;
-  // Shard counts for the sharded-DGAP sweep (--shards=1,2,4); empty = no
-  // sharded runs. Sharded sweeps always measure S=1 too for the speedup
-  // baseline.
-  std::vector<int> shards;
   // DGAP section-geometry tuning (--ingest-profile / --section-slots).
   StoreTuning tuning;
   // Async absorb tuning: --autotune turns on arrival-rate absorb
@@ -115,7 +111,7 @@ struct BenchConfig {
 };
 
 // Parse --scale, --datasets=a,b,c, --latency, --pool-mb, --system,
-// --batch=a,b,c, --async-writers=a,b,c, --shards=a,b,c,
+// --batch=a,b,c, --async-writers=a,b,c,
 // --ingest-profile=balanced|ingest-heavy, --section-slots=N (power of
 // two), --autotune, --absorb-min=N, --csr-cache, --live-ingest,
 // --live-producers=N, --threads=N, --sched. Throws std::invalid_argument
@@ -154,24 +150,6 @@ class ObsSession {
 // table3 sweeps cannot diverge.
 ingest::AsyncIngestor::Options async_options(const BenchConfig& cfg,
                                              int absorbers);
-
-// CLI cap on shard counts (each shard owns a pool, so huge values are a
-// memory footgun); shared by parse_common and the examples.
-inline constexpr int kMaxShardsCli = 64;
-
-// Shard counts for a sharded sweep: cfg.shards plus the S=1 baseline,
-// deduplicated ascending (speedups are reported against S=1).
-std::vector<int> sharded_sweep_counts(const BenchConfig& cfg);
-
-// Print a sharded sweep table: one MEPS column per shard count plus the
-// speedup of the largest count vs the S=1 baseline. `measure` runs one
-// (dataset, shard count) cell. Shared by fig6/table3 so their tables
-// cannot drift.
-void print_sharded_sweep(
-    const BenchConfig& cfg, const std::vector<int>& counts,
-    const std::function<double(const std::string& dataset, int shards)>&
-        measure,
-    std::ostream& os);
 
 // Enable/disable the process-global PM latency model with Optane-like
 // defaults (see pmem/latency_model.hpp for the parameters).
@@ -649,11 +627,10 @@ class IStore {
   // absorbers draining through this store's batch path (see
   // src/ingest/async_ingestor.hpp for the epoch-durability contract). The
   // wiring lives here ONCE: sink serialization follows
-  // concurrent_batch_safe(), stores with a delete path override
-  // batch_sink(), and custom queue routing goes in Options::route — no
-  // store re-implements the option plumbing. The store must outlive the
-  // ingestor.
-  virtual std::unique_ptr<ingest::AsyncIngestor> make_async(
+  // concurrent_batch_safe() and stores with a delete path override
+  // batch_sink() — no store re-implements the option plumbing. The store
+  // must outlive the ingestor.
+  std::unique_ptr<ingest::AsyncIngestor> make_async(
       ingest::AsyncIngestor::Options opts) {
     opts.serialize_sink = !concurrent_batch_safe();
     return std::make_unique<ingest::AsyncIngestor>(batch_sink(),
@@ -669,8 +646,7 @@ class IStore {
   // (hits + misses == 0 means "no cache ran here").
   [[nodiscard]] virtual tier::CacheStats cache_stats() const { return {}; }
   // Snapshot-freeze latency distribution (ns); empty for systems without
-  // the obs histograms. DGAP-backed models override (sharded: the merged
-  // cross-shard cut distribution).
+  // the obs histograms. The DGAP model overrides.
   [[nodiscard]] virtual obs::HistogramSnapshot freeze_hist() const {
     return {};
   }
@@ -708,15 +684,5 @@ std::unique_ptr<IStore> make_store(const std::string& kind,
 // Static CSR (analysis oracle), built in one shot from a loaded stream.
 std::unique_ptr<IStore> make_csr(pmem::PmemPool& pool,
                                  const EdgeStream& stream);
-
-// DGAP sharded across `shards` independent anonymous pools
-// (src/core/sharded_store.hpp): the store owns its pools, splitting
-// `pool_mb_total` across them. make_async routes each staging queue to
-// exactly one shard.
-std::unique_ptr<IStore> make_sharded_store(int shards, NodeId vertices,
-                                           std::uint64_t edges_estimate,
-                                           int writer_threads,
-                                           std::uint64_t pool_mb_total,
-                                           const StoreTuning& tuning = {});
 
 }  // namespace dgap::bench

@@ -43,7 +43,7 @@ std::vector<std::string> split_csv(const std::string& s);
 std::int64_t parse_positive_int(const std::string& s, const std::string& flag);
 
 // Same, with an inclusive upper bound (shared by every CLI that caps a
-// knob, e.g. --shards <= 64, so caps and messages cannot drift apart).
+// knob, e.g. --async-writers <= 1024, so caps and messages cannot drift apart).
 std::int64_t parse_positive_int_capped(const std::string& s,
                                        const std::string& flag,
                                        std::int64_t max);

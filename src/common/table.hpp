@@ -1,5 +1,5 @@
 // Aligned plain-text table printer: every bench prints its paper table /
-// figure series through this, so EXPERIMENTS.md rows can be pasted verbatim.
+// figure series through this, so every table has the same layout.
 #pragma once
 
 #include <iosfwd>

@@ -66,9 +66,7 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
   for (const Edge& e : all) {
     if (e.src < 0 || e.dst < 0)
       throw std::invalid_argument("negative vertex id");
-    max_id = std::max(max_id, opts_.ensure_dst_vertices
-                                  ? std::max(e.src, e.dst)
-                                  : e.src);
+    max_id = std::max({max_id, e.src, e.dst});
   }
   ensure_vertices(max_id);
 

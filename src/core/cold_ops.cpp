@@ -370,9 +370,6 @@ void DgapStore::cold_enforce_budget() {
 
 void DgapStore::cold_enforce_budget_locked() {
   if (cold_ == nullptr) return;
-  // Same order as resize (rebalance_mu_ -> token), so the token can never
-  // participate in a cycle with a structural op.
-  const StructuralBudgetHold token(struct_budget_.get());
   cold_->decay_rates();
   const std::uint64_t budget_bytes =
       cold_budget_bytes_.load(std::memory_order_relaxed);

@@ -274,8 +274,8 @@ std::unique_ptr<DgapStore> DgapStore::open(pmem::PmemPool& pool,
 
 void DgapStore::register_metrics() {
   // Registry readers over the existing stats cells + the latency
-  // histograms. Named per instance so concurrent stores (shards, A/B
-  // benches) stay distinguishable in the exporters.
+  // histograms. Named per instance so concurrent stores (A/B benches)
+  // stay distinguishable in the exporters.
   const std::string p = "dgap" + std::to_string(instance_id_) + "_";
   obs::MetricsRegistry& reg = obs::registry();
   const auto counter = [&](const char* name,
@@ -438,7 +438,7 @@ void DgapStore::delete_edge(NodeId src, NodeId dst) {
 
 void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
   if (src < 0 || dst < 0) throw std::invalid_argument("negative vertex id");
-  ensure_vertices(opts_.ensure_dst_vertices ? std::max(src, dst) : src);
+  ensure_vertices(std::max(src, dst));
 
   int shift_failures = 0;
   for (;;) {
@@ -656,20 +656,18 @@ void DgapStore::nearby_shift_insert(NodeId src, Slot value, std::uint64_t pos,
 // Snapshots (paper §3.1.3; snapshot.hpp)
 // ---------------------------------------------------------------------------
 
-void DgapStore::freeze_begin() const {
+Snapshot DgapStore::consistent_view() const {
+  // Briefly exclude writers and structural ops while copying the degree
+  // column — the paper's "temporarily holds the graph updates" (§3.1.3).
+  // Nothing is held afterwards: the snapshot's lifetime blocks no store
+  // operation, including vertex-table growth and resizes.
+  // One freeze-duration sample per view: lock wait + degree-column copy.
+  const obs::ScopedLatency lat(&freeze_hist_);
   // rebalance_mu_ first (same order as resize_and_rebuild's caller), so a
   // freeze excludes window rebalances too: the degree column below is a
   // true instant, not racing a concurrent splice's arr/el handoff.
-  rebalance_mu_.lock();
-  global_mu_.lock();
-}
-
-void DgapStore::freeze_end() const {
-  global_mu_.unlock();
-  rebalance_mu_.unlock();
-}
-
-Snapshot DgapStore::capture_frozen() const {
+  std::lock_guard<SpinLock> structural(rebalance_mu_);
+  std::lock_guard<RWSpinLock> writers(global_mu_);
   Snapshot snap;
   snap.store_ = this;
   snap.ctl_ = ctl_;
@@ -695,19 +693,6 @@ Snapshot DgapStore::capture_frozen() const {
   }
   snap.total_ = total;
   ++stats_.snapshot_captures;
-  return snap;
-}
-
-Snapshot DgapStore::consistent_view() const {
-  // Briefly exclude writers and structural ops while copying the degree
-  // column — the paper's "temporarily holds the graph updates" (§3.1.3).
-  // Nothing is held afterwards: the snapshot's lifetime blocks no store
-  // operation, including vertex-table growth and resizes.
-  // One freeze-duration sample per view: lock wait + degree-column copy.
-  const obs::ScopedLatency lat(&freeze_hist_);
-  freeze_begin();
-  Snapshot snap = capture_frozen();
-  freeze_end();
   return snap;
 }
 
@@ -918,17 +903,6 @@ void DgapStore::mirror_segment(std::uint64_t seg) {
 // ---------------------------------------------------------------------------
 // Shutdown (paper §3.1.5)
 // ---------------------------------------------------------------------------
-
-void DgapStore::set_shard_identity(const ShardIdentity& id) {
-  root_->shard_index = id.index;
-  root_->shard_count = id.count;
-  root_->shard_shift = id.shift;
-  pool_.persist(&root_->shard_index, 3 * sizeof(std::uint32_t));
-}
-
-DgapStore::ShardIdentity DgapStore::shard_identity() const {
-  return {root_->shard_index, root_->shard_count, root_->shard_shift};
-}
 
 void DgapStore::shutdown() {
   // Quiesce cold-tier scheduler tasks BEFORE taking the store locks: a task

@@ -36,7 +36,6 @@
 #include "src/core/persistent_layout.hpp"
 #include "src/core/section_table.hpp"
 #include "src/core/snapshot.hpp"
-#include "src/core/structural_budget.hpp"
 #include "src/graph/types.hpp"
 #include "src/obs/latency_histogram.hpp"
 #include "src/obs/metrics_registry.hpp"
@@ -142,35 +141,15 @@ class DgapStore {
   // --- analysis (paper §3.1.3, snapshot.hpp) --------------------------------
   // Freeze writers and structural ops just long enough to copy the degree
   // column (O(V)), then hand out a versioned snapshot that pins nothing the
-  // store ever waits for. Equivalent to freeze_begin(); capture_frozen();
-  // freeze_end().
+  // store ever waits for. The freeze takes rebalance_mu_ before global_mu_,
+  // matching resize_and_rebuild, so it also excludes window rebalances —
+  // the captured degree column is a true instant.
   [[nodiscard]] Snapshot consistent_view() const;
-
-  // Two-phase freeze API for cross-store point-in-time cuts: ShardedStore
-  // freezes ALL shards (phase 1), captures every degree cache while all are
-  // held (phase 2), then releases. freeze_begin orders rebalance_mu_ before
-  // global_mu_, matching resize_and_rebuild, so a freeze also excludes
-  // window rebalances — the captured degree column is a true instant.
-  void freeze_begin() const;
-  [[nodiscard]] Snapshot capture_frozen() const;  // requires freeze_begin()
-  void freeze_end() const;
 
   // --- lifecycle (paper §3.1.5) ---------------------------------------------
   // Graceful shutdown: persist the DRAM vertex array + PMA metadata so the
   // next open() is fast, then set NORMAL_SHUTDOWN.
   void shutdown();
-
-  // This store's place in a sharded deployment (count == 0: unsharded).
-  // ShardedStore persists it at create and validates it on every open, so
-  // geometry drift (changed estimates, wrong shard count) is an error
-  // instead of a silent id remap.
-  struct ShardIdentity {
-    std::uint32_t index = 0;
-    std::uint32_t count = 0;
-    std::uint32_t shift = 0;
-  };
-  void set_shard_identity(const ShardIdentity& id);
-  [[nodiscard]] ShardIdentity shard_identity() const;
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] NodeId num_nodes() const {
@@ -245,9 +224,8 @@ class DgapStore {
   void debug_cold_promote_all();
 
   // Latency distributions (ns): snapshot-freeze duration (one sample per
-  // consistent_view/capture), window-rebalance duration, and resize
-  // duration. Snapshots diff (operator-) for per-round views and merge
-  // (operator+=) across shards.
+  // consistent_view), window-rebalance duration, and resize duration.
+  // Snapshots diff (operator-) for per-round views.
   [[nodiscard]] obs::HistogramSnapshot freeze_latency() const {
     return freeze_hist_.snapshot();
   }
@@ -256,13 +234,6 @@ class DgapStore {
   }
   [[nodiscard]] obs::HistogramSnapshot resize_latency() const {
     return resize_hist_.snapshot();
-  }
-
-  // Install a shared resize token gate (structural_budget.hpp). ShardedStore
-  // hands every shard the same budget so a global resize storm is staggered.
-  // Call before concurrent use; nullptr (the default) means ungated.
-  void set_structural_budget(std::shared_ptr<StructuralBudget> b) {
-    struct_budget_ = std::move(b);
   }
 
   // Deep structural audit for tests: run shape, tree counts, chain sanity.
@@ -570,7 +541,7 @@ class DgapStore {
   mutable RWSpinLock global_mu_;
   SpinLock vertex_mu_;               // serializes vertex append
   mutable SpinLock rebalance_mu_;    // serializes structural ops
-                                     // (see rebalance.cpp; freeze_begin
+                                     // (see rebalance.cpp; consistent_view
                                      // takes it ahead of global_mu_)
 
   // --- snapshot subsystem state (snapshot.hpp) ------------------------------
@@ -609,7 +580,7 @@ class DgapStore {
 
   // --- snapshot-diff change tracking (snapshot_delta.cpp) -------------------
   // Monotone capture counter stamping Snapshot::capture_seq(). A static
-  // member (not a function-local in capture_frozen) so the batch-insert TU
+  // member (not a function-local in consistent_view) so the batch-insert TU
   // can timestamp touch marks against it; global across instances — only
   // monotonicity matters, per-store uniqueness does not.
   static inline std::atomic<std::uint64_t> capture_seq_{0};
@@ -665,8 +636,6 @@ class DgapStore {
   mutable std::array<std::atomic<std::uint8_t>, kColdPendingSlots>
       cold_promote_pending_{};
   mutable std::atomic<bool> cold_enforce_inflight_{false};
-  // Shared resize token gate; null = ungated (see set_structural_budget).
-  std::shared_ptr<StructuralBudget> struct_budget_;
 
   // Cold-tier promotion/demotion tasks in flight on the scheduler.
   // shutdown()/~DgapStore wait the group BEFORE taking global_mu_ — a task

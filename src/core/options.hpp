@@ -53,15 +53,6 @@ struct DgapOptions {
   // section is merged back into the edge array (paper: 90%).
   double elog_merge_fill = 0.90;
 
-  // Create vertex entries for destination ids on insert (classic DGAP
-  // semantics: inserting (u,v) materializes every id up to max(u,v)).
-  // ShardedStore turns this off per shard: a shard owns only its source-id
-  // slice and stores destination ids as opaque global payloads, so a global
-  // dst must not inflate the shard's local vertex table — the destination's
-  // own shard materializes it instead (ShardedStore routes a vertex-ensure
-  // to shard_of(dst)).
-  bool ensure_dst_vertices = true;
-
   // VCSR-style degree-proportional gap distribution during rebalances
   // (paper [24]); false falls back to classic even PMA spreading (PCSR
   // [66]) — an ablation of the paper's layout choice.
@@ -79,8 +70,8 @@ struct DgapOptions {
   // may differ between runs over the same pool — pmem stays the only source
   // of truth and recovery never sees the cache.
   std::uint32_t dram_cache_mb = 0;
-  // Byte-granular override (takes precedence when non-zero); ShardedStore
-  // uses it to split one user-facing budget across shards.
+  // Byte-granular override (takes precedence when non-zero); tests and the
+  // benchmark use it to size budgets below one MB.
   std::uint64_t dram_cache_bytes = 0;
 
   // --- SSD cold tier (src/tier/cold_tier.hpp) -------------------------------

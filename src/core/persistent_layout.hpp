@@ -46,22 +46,14 @@ struct DgapRoot {
   std::uint64_t shutdown_image_off;  // 0 = none / stale
   std::uint64_t shutdown_image_bytes;
   std::uint64_t tx_anchor_off;  // PmemTx journal anchor (ablation mode)
-  // Shard identity when this store is one shard of a ShardedStore
-  // (sharded_store.hpp); shard_count == 0 means unsharded. Persisted at
-  // create time so a sharded open validates against the caller's geometry
-  // instead of silently remapping ids when size estimates change.
-  std::uint32_t shard_index;
-  std::uint32_t shard_count;
-  std::uint32_t shard_shift;
-  std::uint32_t shard_reserved;
 };
 
-// Root magic doubles as the format version: "DGAPSTO3" — bumped from
-// "DGAPSTO2" when the cold-tier residency map grew DgapLayout (and from
-// "DGAPSTOR" before that, when the shard-identity fields grew DgapRoot),
-// so a pool written by an old layout is rejected at open instead of
-// misread.
-inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f33ULL;
+// Root magic doubles as the format version: "DGAPSTO4" — bumped from
+// "DGAPSTO3" when the shard-identity fields left DgapRoot (from "DGAPSTO2"
+// before that, when the cold-tier residency map grew DgapLayout, and from
+// "DGAPSTOR" when the shard-identity fields grew DgapRoot), so a pool
+// written by an old layout is rejected at open instead of misread.
+inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f34ULL;
 
 // Residency-word helpers (DgapLayout::residency_off).
 inline constexpr std::uint64_t kResidencyColdBit = 1ull << 63;

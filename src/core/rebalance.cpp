@@ -452,15 +452,8 @@ void DgapStore::rebalance_window_locked(std::uint64_t begin_seg,
 // ---------------------------------------------------------------------------
 
 void DgapStore::resize_and_rebuild(std::uint64_t extra_slots) {
-  // Resize token gate (structural_budget.hpp): when a ShardedStore's shards
-  // all hit their growth threshold together, only `tokens` of them rebuild
-  // at once — the rest keep absorbing into their still-valid old layout
-  // while they wait here, BEFORE taking global_mu_, so waiting never blocks
-  // this shard's writers. Unsharded stores have no budget (null = free).
-  const StructuralBudgetHold tokens(struct_budget_.get());
   // One resize-duration sample + trace span per rebuild (old/new slot
-  // capacities in the event args); includes token-gate and lock waits, so
-  // the timeline shows resize storms as overlapping spans.
+  // capacities in the event args); includes lock waits.
   const obs::ScopedLatency lat(&resize_hist_);
   const std::uint64_t trace_t0 = obs::trace_begin();
   const std::uint64_t trace_old_cap = capacity_;

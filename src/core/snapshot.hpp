@@ -211,8 +211,8 @@ class SnapshotCsr {
       if (emit_stop(fn, nbrs_[i])) return;
   }
 
-  // Materialize any GraphView-shaped source (a Snapshot, a ShardedSnapshot)
-  // into a compact CSR. Two strategies, identical output (asserted in
+  // Materialize any GraphView-shaped source (normally a Snapshot) into a
+  // compact CSR. Two strategies, identical output (asserted in
   // snapshot_csr tests):
   //
   //  * Two-sweep (small cuts / single thread): count emitted neighbors,
@@ -357,9 +357,8 @@ class SnapshotCsr {
 // kernels while the current cut's CSR is live, and a one-deep cache would
 // thrash between them every round. get() itself is not thread-safe — build
 // once, then hand the returned view to parallel kernels. Works for any
-// snapshot-shaped view that exposes capture_seq()/layout_epoch() — a
-// Snapshot, or a ShardedSnapshot (whose key is shard 0's process-unique
-// capture sequence plus the shards' combined layout epochs).
+// snapshot-shaped view that exposes capture_seq()/layout_epoch(), such as a
+// Snapshot.
 class SnapshotCsrCache {
  public:
   explicit SnapshotCsrCache(std::size_t capacity = 2)

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 
 namespace dgap::core {
 
@@ -74,43 +73,6 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
   // slot list is the delta.
   for (NodeId v = n_old; v < n_new; ++v) emit_vertex(v, 0);
   return d;
-}
-
-SnapshotDelta snapshot_delta(const ShardedSnapshot& older,
-                             const ShardedSnapshot& newer) {
-  if (older.num_shards() == 0 || older.num_shards() != newer.num_shards())
-    throw std::invalid_argument(
-        "snapshot_delta: sharded cuts are empty or shard counts differ");
-  if (older.capture_seq() > newer.capture_seq())
-    throw std::invalid_argument(
-        "snapshot_delta: older sharded cut captured after newer cut");
-
-  SnapshotDelta out;
-  out.nodes_before = older.num_nodes();
-  out.nodes_after = newer.num_nodes();
-  if (older.capture_seq() == newer.capture_seq()) return out;
-
-  for (std::size_t k = 0; k < older.num_shards(); ++k) {
-    SnapshotDelta d = snapshot_delta(older.shard(k), newer.shard(k));
-    const NodeId base = newer.shard_base(k);
-    // Remap local source ids to global; destination payloads are stored
-    // globally already (sharded_store.hpp). Shards own ascending id
-    // ranges, so appending in shard order keeps `changed` globally sorted.
-    out.changed.reserve(out.changed.size() + d.changed.size());
-    for (const NodeId v : d.changed) out.changed.push_back(base + v);
-    out.changed_old_degree.insert(out.changed_old_degree.end(),
-                                  d.changed_old_degree.begin(),
-                                  d.changed_old_degree.end());
-    out.inserted.reserve(out.inserted.size() + d.inserted.size());
-    for (const DeltaEdge& e : d.inserted)
-      out.inserted.push_back({base + e.src, e.dst});
-    out.deleted.reserve(out.deleted.size() + d.deleted.size());
-    for (const DeltaEdge& e : d.deleted)
-      out.deleted.push_back({base + e.src, e.dst});
-    out.used_fallback |= d.used_fallback;
-    out.scanned_vertices += d.scanned_vertices;
-  }
-  return out;
 }
 
 }  // namespace dgap::core

@@ -34,7 +34,6 @@
 namespace dgap::core {
 
 class Snapshot;
-class ShardedSnapshot;
 
 struct DeltaEdge {
   NodeId src;
@@ -73,11 +72,5 @@ struct SnapshotDelta {
 // Equal sequences return an empty delta without touching the store.
 [[nodiscard]] SnapshotDelta snapshot_delta(const Snapshot& older,
                                            const Snapshot& newer);
-
-// Sharded composition: per-shard diffs remapped to global source ids
-// (destination payloads are already global). Shard counts must match.
-// `changed` stays globally sorted because shards own ascending id ranges.
-[[nodiscard]] SnapshotDelta snapshot_delta(const ShardedSnapshot& older,
-                                           const ShardedSnapshot& newer);
 
 }  // namespace dgap::core

@@ -1,12 +1,5 @@
 #include "src/core/store_lifecycle.hpp"
 
-#include <atomic>
-#include <exception>
-#include <stdexcept>
-#include <utility>
-
-#include "src/sched/task_scheduler.hpp"
-
 namespace dgap::core {
 
 StoreHandle create_store(const pmem::PoolOptions& pool_opts,
@@ -23,53 +16,6 @@ StoreHandle open_store(const pmem::PoolOptions& pool_opts,
   h.pool = pmem::PmemPool::open(pool_opts);
   h.store = DgapStore::open(*h.pool, store_opts);
   return h;
-}
-
-std::vector<StoreHandle> attach_stores_parallel(
-    std::vector<std::unique_ptr<pmem::PmemPool>> pools,
-    const std::vector<DgapOptions>& store_opts, bool fresh) {
-  if (pools.size() != store_opts.size())
-    throw std::invalid_argument(
-        "attach_stores_parallel: pools/options size mismatch");
-  std::vector<StoreHandle> handles(pools.size());
-  for (std::size_t i = 0; i < pools.size(); ++i)
-    handles[i].pool = std::move(pools[i]);
-
-  // One attach (recovery scan on open) per handle, claimed off an atomic
-  // index by scheduler pump tasks plus this thread. The scheduler's worker
-  // pool is process-wide and pre-spawned, so there is no per-call thread
-  // spawn to fail and no fallback path to maintain; the caller pumping too
-  // means a 1-worker scheduler still attaches everything.
-  std::vector<std::exception_ptr> errors(handles.size());
-  std::atomic<std::size_t> next{0};
-  const auto pump = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= handles.size()) return;
-      try {
-        handles[i].store =
-            fresh ? DgapStore::create(*handles[i].pool, store_opts[i])
-                  : DgapStore::open(*handles[i].pool, store_opts[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-  auto& s = sched::TaskScheduler::global();
-  sched::WaitGroup wg;
-  const std::size_t helpers =
-      handles.size() > 1 ? std::min(handles.size() - 1, s.num_workers()) : 0;
-  wg.add(helpers);
-  for (std::size_t t = 0; t < helpers; ++t)
-    s.submit([&] {
-      pump();
-      wg.done();
-    });
-  pump();
-  wg.wait();
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
-  return handles;
 }
 
 void shutdown_store(StoreHandle& handle) {

@@ -6,16 +6,11 @@
 //          shutdown, scan + undo-log replay after a crash);
 // close  = graceful shutdown image + NORMAL_SHUTDOWN, then unmap.
 //
-// Before sharding, that pairing lived inline in every call site (quickstart,
-// benches, tests). The sharded store multiplies it by S — one pool file and
-// one recovery per shard — so the lifecycle is factored here once, plus a
-// parallel driver that opens/recovers S shards via the task scheduler
-// (recovery cost after a crash is a full pool scan, which parallelizes
-// perfectly across independent pools).
+// The pairing is factored here once so call sites (quickstart, benches,
+// tests) do not repeat it.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "src/core/dgap_store.hpp"
 #include "src/core/options.hpp"
@@ -40,18 +35,6 @@ StoreHandle create_store(const pmem::PoolOptions& pool_opts,
 // Open an existing file-backed pool and attach (recovery runs as needed).
 StoreHandle open_store(const pmem::PoolOptions& pool_opts,
                        const DgapOptions& store_opts);
-
-// Attach stores to caller-provided pools. `fresh` selects DgapStore::create
-// (brand-new pools) vs DgapStore::open (existing content; recovery runs per
-// pool). The heavy per-pool work — initial array persists on create, the
-// recovery scan on open — fans out over the process TaskScheduler (the
-// caller pumps too), so an S-shard open after a crash runs up to
-// min(S, workers+1) recoveries concurrently. The first failure is rethrown
-// after every attach finishes; pools are returned untouched inside the
-// handles either way.
-std::vector<StoreHandle> attach_stores_parallel(
-    std::vector<std::unique_ptr<pmem::PmemPool>> pools,
-    const std::vector<DgapOptions>& store_opts, bool fresh);
 
 // Graceful close: persist the shutdown image, set NORMAL_SHUTDOWN, release
 // the store then the pool. Safe on an empty handle.

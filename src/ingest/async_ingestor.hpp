@@ -107,10 +107,6 @@ class AsyncIngestor {
   // returning; `tombstone` selects delete semantics. DgapStore's
   // insert_batch/delete_batch satisfy this contract.
   using BatchFn = std::function<void(std::span<const Edge>, bool tombstone)>;
-  // Queue routing: maps (source id, live queue count) -> queue index
-  // (reduced modulo the queue count defensively). Must be stateless and
-  // stable per source so per-source FIFO ordering holds.
-  using RouteFn = std::function<std::size_t(NodeId, std::size_t)>;
 
   struct Options {
     // Absorber slots (M): the CAP on concurrent absorber tasks. Actual
@@ -124,10 +120,6 @@ class AsyncIngestor {
     // Consecutive source ids routed to the same queue; blocks of nearby
     // sources share home sections, which is what the batch path rewards.
     std::size_t route_block = 64;
-    // Custom queue routing; null uses the built-in block routing above.
-    // Stores with their own partitioning (ShardedStore: queue -> shard)
-    // plug in here instead of re-implementing the ingestor wiring.
-    RouteFn route;
     // Serialize sink calls across absorbers (for single-ingest stores whose
     // batch path is not thread-safe: LLAMA/GraphOne/XPGraph models).
     bool serialize_sink = false;
@@ -254,7 +246,6 @@ class AsyncIngestor {
   void absorb_items(std::vector<Item>& items);
   void retire_items(const std::vector<Item>& items);
   [[nodiscard]] std::size_t route(NodeId src) const {
-    if (opts_.route) return opts_.route(src, queues_.size()) % queues_.size();
     return (static_cast<std::uint64_t>(src) / opts_.route_block) %
            queues_.size();
   }

@@ -1,5 +1,5 @@
 // Log-bucketed latency histogram: 64 power-of-two buckets, relaxed-atomic
-// record, mergeable across threads and shards.
+// record, mergeable across threads.
 //
 // Bucket 0 holds exact zeros; bucket i (i >= 1) holds values in
 // [2^(i-1), 2^i). With nanosecond inputs bucket 63 covers everything from
@@ -9,7 +9,7 @@
 // cache populate); it is deliberately NOT used per edge.
 //
 // snapshot() returns a plain-value HistogramSnapshot that supports
-// subtraction (per-round deltas), addition (per-shard merges), and
+// subtraction (per-round deltas), addition (per-thread merges), and
 // percentile extraction with linear interpolation inside a bucket.
 #pragma once
 

@@ -28,16 +28,17 @@ namespace dgap::obs {
 
 enum class MetricKind : std::uint8_t { counter, gauge, histogram };
 
-// Readers. ValueFn for counters/gauges, HistFn for histograms; a histogram
-// metric may be a merged view (e.g. ShardedStore summing per-shard
-// snapshots) — that is why the reader returns a snapshot, not a pointer.
+// Readers. ValueFn for counters/gauges, HistFn for histograms; the
+// histogram reader returns a plain-value snapshot, not a pointer, so an
+// exporter never aliases a histogram that is still recording.
 using ValueFn = std::function<double()>;
 using HistFn = std::function<HistogramSnapshot()>;
 
 class MetricsRegistry {
  public:
-  // Upper bound on live metrics: a 64-shard sharded store registers about
-  // a dozen entries per shard plus merged views, so leave generous room.
+  // Upper bound on live metrics: a store registers a dozen entries (more
+  // with the tiers on), and benches keep several stores plus ingestors
+  // alive at once, so leave generous room.
   static constexpr std::size_t kCapacity = 4096;
 
   class Handle {

@@ -74,7 +74,7 @@ class StructuralTraceRing {
   std::vector<Slot> slots_;
 };
 
-// Process-wide ring shared by all stores/shards (events carry enough ids to
+// Process-wide ring shared by all stores (events carry enough ids to
 // tell instances apart; a timeline view wants them interleaved anyway).
 StructuralTraceRing& structural_trace();
 

@@ -34,7 +34,7 @@ struct LatencyConfig {
   // store work in between — absorbed by the XPBuffer on real Optane) land
   // near the paper's absolute insert rates, while same-line flush loops
   // still order clearly behind sequential/random (Fig 1c ordering holds;
-  // the paper's ~7x ratio compresses — see EXPERIMENTS.md).
+  // the paper's ~7x ratio compresses; latency_model_test pins the order).
   std::uint64_t inplace_flush_ns = 250;
   std::uint64_t fence_ns = 25;
   // Read-side charges, opt-in via on_read(): base cost per 64B line plus an

@@ -49,7 +49,8 @@
 
 namespace dgap::tier {
 
-// Aggregatable counter snapshot (ShardedStore sums its shards').
+// Aggregatable counter snapshot (the --dram-cache bench section sums it
+// across datasets).
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -363,9 +363,7 @@ TEST_F(AsyncFixture, FlushDeadlineNotStarvedByBusySiblingQueues) {
   o.queues = 2;
   o.absorb_min_edges = 1 << 14;
   o.flush_deadline_us = 1500;
-  o.route = [](NodeId src, std::size_t nq) {
-    return static_cast<std::size_t>(src) % nq;
-  };
+  o.route_block = 1;  // queue = src % 2
   auto ing = make_dgap_ingestor(*store, o);
 
   // Queue 1: a tiny trickle far below the gather threshold.
@@ -401,33 +399,6 @@ TEST(AsyncIngestorApi, GatherThresholdRequiresDeadline) {
   o.absorb_min_edges = 512;
   o.flush_deadline_us = 0;
   EXPECT_THROW(AsyncIngestor(noop, o), std::invalid_argument);
-}
-
-// Options::route replaces the built-in block routing without touching any
-// other wiring; per-source FIFO and oracle equivalence still hold.
-TEST_F(AsyncFixture, CustomRouteOptionIsUsed) {
-  make_store(2);
-  AsyncIngestor::Options o;
-  o.absorbers = 2;
-  o.queues = 4;
-  std::atomic<std::uint64_t> routed{0};
-  o.route = [&routed](NodeId src, std::size_t nq) {
-    ++routed;
-    return static_cast<std::size_t>(src) % nq;
-  };
-  auto ing = make_dgap_ingestor(*store, o);
-
-  const auto stream = symmetrize(generate_rmat(64, 2000, 88));
-  const auto& edges = stream.edges();
-  for (std::size_t i = 0; i < edges.size(); i += 100)
-    ing->submit(std::span<const Edge>(
-        edges.data() + i, std::min<std::size_t>(100, edges.size() - i)));
-  ing->drain();
-
-  EXPECT_EQ(routed.load(), edges.size()) << "custom routing not consulted";
-  AdjGraph oracle(stream.num_vertices());
-  for (const Edge& e : edges) oracle.add_edge(e.src, e.dst);
-  EXPECT_EQ(snapshot_multiset(*store), oracle_multiset(oracle));
 }
 
 TEST(AsyncIngestorApi, ValidatesOptions) {

@@ -10,7 +10,6 @@
 #include "src/algorithms/cc.hpp"
 #include "src/algorithms/pagerank.hpp"
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 #include "src/graph/generators.hpp"
 
 namespace dgap::core {
@@ -181,65 +180,6 @@ TEST(SnapshotCsrCache, EpochKeyedInvalidationAcrossResize) {
   cache.invalidate();
   (void)cache.get(s2);
   EXPECT_EQ(cache.misses(), 3u);
-}
-
-// The cache is keyed by (capture_seq, layout_epoch) and ShardedSnapshot
-// supplies both: the seq is the process-global capture counter (unique per
-// consistent_view), and the epoch folds EVERY shard's layout generation, so
-// a resize in any single shard invalidates — repeated kernels over one
-// composed cut still hit.
-TEST(SnapshotCsrCache, ShardedViewKeyedBySeqAndEpochMix) {
-  ShardedStore::Options so;
-  so.shards = 3;
-  so.pool_bytes = 32ull << 20;
-  so.dgap.init_vertices = 192;
-  so.dgap.init_edges = 4096;
-  so.dgap.segment_slots = 64;
-  auto store = ShardedStore::create(so);
-  const auto stream = symmetrize(generate_rmat(192, 3000, 9));
-  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
-
-  const ShardedSnapshot s1 = store->consistent_view();
-  SnapshotCsrCache cache;
-  const SnapshotCsr& csr = cache.get(s1);
-  EXPECT_EQ(cache.misses(), 1u);
-  // The materialization is exact across the shard composition...
-  ASSERT_EQ(csr.num_nodes(), s1.num_nodes());
-  for (NodeId v = 0; v < s1.num_nodes(); ++v) {
-    std::vector<NodeId> got;
-    csr.for_each_out(v, [&](NodeId d) { got.push_back(d); });
-    EXPECT_EQ(got, s1.neighbors(v)) << "vertex " << v;
-  }
-  // ...and kernels over it are bit-identical to the raw composed view.
-  EXPECT_EQ(algorithms::pagerank(s1), algorithms::pagerank(csr));
-  // Same cut again: hit, no rebuild.
-  (void)cache.get(s1);
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // A new cut (same layouts) misses on the capture seq alone.
-  store->insert_edge(0, 1);
-  const ShardedSnapshot s2 = store->consistent_view();
-  EXPECT_EQ(s2.layout_epoch(), s1.layout_epoch());
-  (void)cache.get(s2);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  // Resize ONE shard (flood only its source slice): the mixed epoch moves,
-  // so even an identical seq could never alias the stale entry.
-  const int shift = store->shard_shift();
-  const std::uint64_t resizes_before = store->shard(1).stats().resizes;
-  const auto flood = generate_uniform(32, 20000, 17);
-  for (const Edge& e : flood.edges())
-    store->insert_edge((NodeId{1} << shift) + e.src, e.dst);
-  ASSERT_GT(store->shard(1).stats().resizes, resizes_before);
-  const ShardedSnapshot s3 = store->consistent_view();
-  EXPECT_NE(s3.layout_epoch(), s2.layout_epoch());
-  const SnapshotCsr& csr3 = cache.get(s3);
-  EXPECT_EQ(cache.misses(), 3u);
-  for (NodeId v = 0; v < s3.num_nodes(); ++v) {
-    std::vector<NodeId> got;
-    csr3.for_each_out(v, [&](NodeId d) { got.push_back(d); });
-    EXPECT_EQ(got, s3.neighbors(v)) << "vertex " << v;
-  }
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <string>
 
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/generators.hpp"
 #include "src/ingest/async_ingestor.hpp"
@@ -623,178 +622,6 @@ TEST(DgapCrash, AsyncIngestorDestructorDrainsDurably) {
       << extra.size() << " multiset differences after reopen; first: "
       << extra.begin()->first.first << "->" << extra.begin()->first.second
       << " x" << extra.begin()->second;
-}
-
-// --- sharded crash recovery -------------------------------------------------
-//
-// A ShardedStore batch spans several shards (several pools); a crash in one
-// shard's pool mid-insert_batch must leave EVERY shard recoverable: groups
-// absorbed before the crash are fully durable, the crashed shard keeps at
-// most a per-vertex chronological prefix of its group, and shards not yet
-// reached keep nothing of the in-flight batch. open_on replays each shard's
-// undo log on its own thread (S parallel recoveries) and the composed
-// snapshot must equal the acknowledged oracle modulo the in-flight batch.
-ShardedStore::Options sharded_crash_opts(std::size_t shards, NodeId vertices,
-                                         std::uint64_t edges) {
-  ShardedStore::Options o;
-  o.shards = shards;
-  o.dgap = crash_opts();
-  o.dgap.init_vertices = vertices;
-  o.dgap.init_edges = edges;
-  return o;
-}
-
-std::vector<std::unique_ptr<PmemPool>> shadow_pools(std::size_t n) {
-  std::vector<std::unique_ptr<PmemPool>> pools;
-  for (std::size_t k = 0; k < n; ++k)
-    pools.push_back(
-        PmemPool::create({.path = "", .size = 8 << 20, .shadow = true}));
-  return pools;
-}
-
-std::map<std::pair<NodeId, NodeId>, int> sharded_extra(
-    const ShardedStore& store, const AdjGraph& oracle) {
-  std::map<std::pair<NodeId, NodeId>, int> diff;
-  const ShardedSnapshot snap = store.consistent_view();
-  const NodeId n = std::max(snap.num_nodes(), oracle.num_nodes());
-  for (NodeId v = 0; v < n; ++v) {
-    if (v < snap.num_nodes())
-      for (const NodeId d : snap.neighbors(v)) diff[{v, d}] += 1;
-    if (v < oracle.num_nodes())
-      for (const NodeId d : oracle.out_neigh(v)) diff[{v, d}] -= 1;
-  }
-  std::erase_if(diff, [](const auto& kv) { return kv.second == 0; });
-  return diff;
-}
-
-class ShardedBatchCrashSweep : public ::testing::TestWithParam<int> {};
-
-// Shared body (see run_batch_crash_sweep): `mutate` adjusts the sharded
-// options so the cached variant reruns the identical sweep with each
-// shard's slice of the DRAM hot tier active.
-template <typename MutateFn>
-void run_sharded_batch_crash_sweep(int band, MutateFn&& mutate) {
-  constexpr std::size_t kShards = 3;
-  constexpr std::size_t kBatch = 96;  // spans all three shards
-  const auto stream = symmetrize(generate_rmat(96, 2000, 2468));
-  const auto& edges = stream.edges();
-
-  for (int offset = 0; offset < 5; ++offset) {
-    const std::uint64_t crash_at =
-        static_cast<std::uint64_t>(band) * 900 + offset * 137;
-    // Alternate which shard's pool the crash fires in, so the sweep
-    // interrupts groups at different positions of the batch loop.
-    const std::size_t crash_shard = (band + offset) % kShards;
-    ShardedStore::Options opts = sharded_crash_opts(
-        kShards, stream.num_vertices(), edges.size());
-    mutate(opts);
-    auto store = ShardedStore::create_on(shadow_pools(kShards), opts);
-    store->shard_pool(crash_shard).arm_crash_after(crash_at);
-
-    AdjGraph oracle(stream.num_vertices());
-    std::map<std::pair<NodeId, NodeId>, int> inflight;
-    bool crashed = false;
-    try {
-      for (std::size_t i = 0; i < edges.size(); i += kBatch) {
-        const std::size_t n = std::min(kBatch, edges.size() - i);
-        const std::span<const Edge> batch(edges.data() + i, n);
-        inflight.clear();
-        for (const Edge& e : batch) inflight[{e.src, e.dst}] += 1;
-        store->insert_batch(batch);
-        for (const Edge& e : batch) oracle.add_edge(e.src, e.dst);
-      }
-    } catch (const PmemPool::CrashInjected&) {
-      crashed = true;
-    }
-    store->shard_pool(crash_shard).disarm_crash();
-    if (!crashed) {
-      std::string why;
-      ASSERT_TRUE(store->check_invariants(&why)) << why;
-      return;  // later bands would not crash either
-    }
-
-    auto pools = store->release_pools();  // drop volatile state, keep pools
-    store.reset();
-    for (auto& p : pools) p->simulate_crash();
-    auto recovered = ShardedStore::open_on(std::move(pools), opts);
-
-    std::string why;
-    ASSERT_TRUE(recovered->check_invariants(&why))
-        << why << " (crash_at=" << crash_at << " shard=" << crash_shard
-        << ")";
-    const auto extra = sharded_extra(*recovered, oracle);
-    for (const auto& [edge, count] : extra) {
-      ASSERT_GT(count, 0) << "lost acknowledged edge " << edge.first << "->"
-                          << edge.second << " (crash_at=" << crash_at
-                          << " shard=" << crash_shard << ")";
-      const auto it = inflight.find(edge);
-      ASSERT_TRUE(it != inflight.end() && count <= it->second)
-          << "extra edge " << edge.first << "->" << edge.second << " x"
-          << count << " not from the in-flight batch (crash_at=" << crash_at
-          << " shard=" << crash_shard << ")";
-    }
-
-    // Every shard must keep working after its parallel recovery.
-    recovered->insert_batch(std::span<const Edge>(edges.data(), 48));
-    ASSERT_TRUE(recovered->check_invariants(&why)) << why;
-  }
-}
-
-TEST_P(ShardedBatchCrashSweep, EveryShardRecoversToAcknowledgedBatches) {
-  run_sharded_batch_crash_sweep(GetParam(), [](ShardedStore::Options&) {});
-}
-
-INSTANTIATE_TEST_SUITE_P(Bands, ShardedBatchCrashSweep,
-                         ::testing::Range(0, 6),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "Band" + std::to_string(info.param);
-                         });
-
-class CachedShardedBatchCrashSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(CachedShardedBatchCrashSweep, EveryShardRecoversToAcknowledgedBatches) {
-  run_sharded_batch_crash_sweep(GetParam(), [](ShardedStore::Options& o) {
-    o.dgap.dram_cache_bytes = 12 << 10;  // split 3 ways: 16 frames/shard
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Bands, CachedShardedBatchCrashSweep,
-                         ::testing::Range(0, 6),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "Band" + std::to_string(info.param);
-                         });
-
-// Async + sharded: destructor-drain through the shard-routed queues, then a
-// crash in every pool, then S parallel recoveries — nothing submitted may
-// be lost.
-TEST(DgapCrash, ShardedAsyncDestructorDrainsDurably) {
-  constexpr std::size_t kShards = 2;
-  const auto stream = symmetrize(generate_rmat(96, 1800, 1357));
-  const auto& edges = stream.edges();
-  const ShardedStore::Options opts =
-      sharded_crash_opts(kShards, stream.num_vertices(), edges.size());
-  auto store = ShardedStore::create_on(shadow_pools(kShards), opts);
-  {
-    ingest::AsyncIngestor::Options io;
-    io.absorbers = 2;
-    auto ing = store->make_async(io);
-    for (std::size_t i = 0; i < edges.size(); i += 128)
-      ing->submit(std::span<const Edge>(
-          edges.data() + i, std::min<std::size_t>(128, edges.size() - i)));
-    // No drain(): destruction alone must make it all durable.
-  }
-  auto pools = store->release_pools();
-  store.reset();
-  for (auto& p : pools) p->simulate_crash();
-  auto recovered = ShardedStore::open_on(std::move(pools), opts);
-
-  AdjGraph oracle(stream.num_vertices());
-  for (const Edge& e : edges) oracle.add_edge(e.src, e.dst);
-  const auto extra = sharded_extra(*recovered, oracle);
-  EXPECT_TRUE(extra.empty())
-      << extra.size() << " multiset differences after sharded reopen";
-  std::string why;
-  EXPECT_TRUE(recovered->check_invariants(&why)) << why;
 }
 
 TEST(DgapCrash, CrashImmediatelyAfterCreate) {

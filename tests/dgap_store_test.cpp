@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <thread>
 
 #include "src/core/dgap_store.hpp"
@@ -317,6 +318,26 @@ TEST(DgapStore, ReopenWithoutShutdownTakesScanPath) {
     expect_matches_oracle(*store, oracle, "scan-reopen");
   }
   std::filesystem::remove(path);
+}
+
+// The root magic is the on-media format version: a pool written under the
+// previous DgapRoot layout ("DGAPSTO3", which still carried the shard-
+// identity fields) must be rejected at open, not misread.
+TEST(DgapStore, OpenRejectsPreviousRootMagic) {
+  auto pool = make_pool();
+  auto store = DgapStore::create(*pool, small_opts());
+  store->insert_edge(1, 2);
+  store->shutdown();
+  store.reset();
+  // Control: the current magic reopens.
+  EXPECT_NO_THROW((void)DgapStore::open(*pool, small_opts()));
+
+  constexpr std::uint64_t kPreviousMagic = 0x4447'4150'5354'4f33ULL;
+  ASSERT_NE(kPreviousMagic, kDgapMagic);
+  pool->store_persist(&pool->at<DgapRoot>(pool->root())->magic,
+                      kPreviousMagic);
+  EXPECT_THROW((void)DgapStore::open(*pool, small_opts()),
+               std::runtime_error);
 }
 
 // --- batched ingestion (insert_batch / delete_batch) ------------------------

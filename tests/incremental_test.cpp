@@ -1,10 +1,10 @@
 // Incremental analytics between snapshot epochs (snapshot_delta.hpp +
 // src/algorithms/incremental): the diff must reproduce the exact mutation
-// script applied between two cuts (inserts AND deletes, unsharded and
-// sharded), the delta-seeded kernels must track the from-scratch kernels
-// under randomized mutation rounds (CC labels exactly, PR within the
-// published tolerance bound) at kernel widths 1, 2 and 4 — including
-// delete rounds inside an RMAT giant component and one-direction deletes —
+// script applied between two cuts (inserts AND deletes), the delta-seeded
+// kernels must track the from-scratch kernels under randomized mutation
+// rounds (CC labels exactly, PR within the published tolerance bound) at
+// kernel widths 1, 2 and 4 — including delete rounds inside an RMAT giant
+// component and one-direction deletes —
 // a layout retirement must flip to the O(V) fallback with identical output,
 // and the windowed structural gate must keep out-of-window snapshot reads
 // flowing mid-rebalance.
@@ -28,7 +28,6 @@
 #include "src/algorithms/incremental/pagerank_incr.hpp"
 #include "src/algorithms/pagerank.hpp"
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 #include "src/core/snapshot_delta.hpp"
 #include "src/graph/generators.hpp"
 
@@ -52,10 +51,9 @@ DgapOptions small_opts() {
 // Each op — insert or delete — appends exactly one slot to its source, so
 // the expected delta IS the script: per-source insert/delete dst lists in
 // application order, changed = sources with at least one op.
-template <typename Store>
 class ScriptedMutator {
  public:
-  explicit ScriptedMutator(Store& s) : store_(s) {}
+  explicit ScriptedMutator(DgapStore& s) : store_(s) {}
 
   void insert(NodeId src, NodeId dst) {
     store_.insert_edge(src, dst);
@@ -103,7 +101,7 @@ class ScriptedMutator {
   }
 
  private:
-  Store& store_;
+  DgapStore& store_;
   std::map<NodeId, std::uint32_t> slots_;          // lifetime slot counts
   std::map<NodeId, std::uint32_t> degree_at_cut_;  // frozen at last cut()
   std::map<NodeId, std::vector<NodeId>> ins_, del_;
@@ -112,7 +110,7 @@ class ScriptedMutator {
 TEST(SnapshotDelta, MatchesMutationScriptExactly) {
   auto pool = make_pool(32);
   auto store = DgapStore::create(*pool, small_opts());
-  ScriptedMutator<DgapStore> m(*store);
+  ScriptedMutator m(*store);
   std::mt19937 rng(7);
   for (int i = 0; i < 500; ++i)
     m.insert(rng() % 64, rng() % 64);
@@ -182,7 +180,7 @@ TEST(SnapshotDelta, RejectsCrossStoreAndReversedDiffs) {
 TEST(SnapshotDelta, LayoutRetirementFallsBackWithIdenticalOutput) {
   auto pool = make_pool(64);
   auto store = DgapStore::create(*pool, small_opts());
-  ScriptedMutator<DgapStore> m(*store);
+  ScriptedMutator m(*store);
   std::mt19937 rng(11);
   for (int i = 0; i < 200; ++i) m.insert(rng() % 64, rng() % 64);
 
@@ -203,36 +201,6 @@ TEST(SnapshotDelta, LayoutRetirementFallsBackWithIdenticalOutput) {
   EXPECT_TRUE(d.used_fallback);
   EXPECT_EQ(d.scanned_vertices, newer.num_nodes());  // documented full scan
   m.expect(d);
-}
-
-TEST(SnapshotDelta, ShardedDiffRemapsToGlobalIds) {
-  ShardedStore::Options so;
-  so.shards = 3;
-  so.pool_bytes = 32ull << 20;
-  so.dgap.init_vertices = 192;
-  so.dgap.init_edges = 4096;
-  auto store = ShardedStore::create(so);
-  ScriptedMutator<ShardedStore> m(*store);
-  std::mt19937 rng(13);
-  for (int i = 0; i < 400; ++i) m.insert(rng() % 192, rng() % 192);
-
-  const ShardedSnapshot older = store->consistent_view();
-  m.cut();
-  // Touch every shard, with deletes in two of them.
-  m.insert(2, 150);
-  m.remove(2, 150);
-  for (int i = 0; i < 60; ++i) m.insert(rng() % 192, rng() % 192);
-  m.insert(180, 11);  // last shard: insert then delete the same edge
-  m.remove(180, 11);
-
-  const ShardedSnapshot newer = store->consistent_view();
-  const SnapshotDelta d = snapshot_delta(older, newer);
-  EXPECT_EQ(d.nodes_before, older.num_nodes());
-  EXPECT_EQ(d.nodes_after, newer.num_nodes());
-  m.expect(d);
-
-  // Reversed and shard-count-mismatched diffs are rejected.
-  EXPECT_THROW((void)snapshot_delta(newer, older), std::invalid_argument);
 }
 
 // The delta-maintained DRAM mirror (the structure the incremental kernels

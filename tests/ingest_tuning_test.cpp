@@ -1,7 +1,6 @@
 // Adaptive ingest tuning: ingest-profile section geometry (fewer, larger
 // sections for ingest-heavy configs; persisted in the root, adopted on
-// reopen, pinned section count across resizes, propagated to every shard)
-// plus the batched sort-key layout limits (batch_key.hpp).
+// reopen, pinned section count across resizes) plus the batched sort-key layout limits (batch_key.hpp).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,7 +9,6 @@
 
 #include "src/core/batch_key.hpp"
 #include "src/core/dgap_store.hpp"
-#include "src/core/sharded_store.hpp"
 #include "src/graph/generators.hpp"
 
 namespace dgap::core {
@@ -211,35 +209,6 @@ TEST(IngestProfile, BalancedPoolStaysBalancedUnderIngestHeavyRequest) {
     EXPECT_EQ(store->num_segments(), nseg);
   }
   std::filesystem::remove(path);
-}
-
-// --- sharded propagation ----------------------------------------------------
-
-TEST(IngestProfile, ShardedStorePropagatesProfileToEveryShard) {
-  ShardedStore::Options o;
-  o.shards = 3;
-  o.pool_bytes = 32ull << 20;
-  // Estimates large enough that every shard's sliced share still selects
-  // an ingest-heavy geometry distinct from the balanced default.
-  o.dgap.init_vertices = 12288;
-  o.dgap.init_edges = 3 * 65536;
-  o.dgap.ingest_profile = IngestProfile::ingest_heavy;
-  auto store = ShardedStore::create(o);
-  for (std::size_t k = 0; k < store->num_shards(); ++k) {
-    const DgapStore& shard = store->shard(k);
-    EXPECT_EQ(static_cast<int>(shard.options().ingest_profile),
-              static_cast<int>(IngestProfile::ingest_heavy))
-        << "shard " << k;
-    EXPECT_EQ(shard.num_segments(), kIngestHeavyTargetSections)
-        << "shard " << k;
-    EXPECT_GT(section_slots_of(shard), o.dgap.segment_slots) << "shard " << k;
-  }
-  // The profile'd shards still ingest correctly across the id space.
-  const auto stream = symmetrize(generate_rmat(12288, 8000, 3));
-  store->insert_batch(stream.edges());
-  EXPECT_EQ(store->num_edge_slots(), stream.edges().size());
-  std::string why;
-  EXPECT_TRUE(store->check_invariants(&why)) << why;
 }
 
 }  // namespace
