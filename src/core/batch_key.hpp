@@ -15,7 +15,7 @@
 // two different sections silently collide — a run could then be absorbed
 // under the wrong section's lock. update_batch_internal checks the live
 // section count against kMaxKeySections and falls back to the per-edge
-// path beyond it (2^24 sections x 512 slots x 8 B is a 64 GB edge array;
+// path beyond it (2^24 sections x 512 slots x 4 B is a 32 GB edge array;
 // the fallback is correctness insurance, not a hot path).
 #pragma once
 

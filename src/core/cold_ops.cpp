@@ -18,12 +18,17 @@
 //   3. under a full structural gate (readers drained): invalidate the DRAM
 //      frame, flip the residency word to cold(g+1) (release store) and
 //      persist it, then release the physical pages of the slots + elog.
+//      A page is punched only once every section it holds bytes of is
+//      released (sections smaller than a page share pages), so the budget
+//      pass demotes the sections of one slot page together.
 //   COMMIT POINT is the persisted word flip: a crash before it leaves the
 //   word resident and pmem intact (the file image is simply ignored — a
 //   torn demotion costs nothing); a crash after it recovers from the file,
 //   whose image + matching generation were durable strictly earlier.
 //
 // Promotion (ensure_resident_locked, under the section's writer lock):
+//   0. un-release the section: every punched page it shares is taken back
+//      (a neighbour's demotion can no longer punch it under the rewrite).
 //   1. read the file image back into the pmem slots, persist.
 //   2. flip the word to resident(g) (generation kept) and persist it.
 //   A crash between 1 and 2 leaves the word cold — recovery re-reads the
@@ -129,6 +134,10 @@ void DgapStore::cold_attach() {
   // so resident_bytes() accounting restarts correct. A residency map with
   // cold sections but a missing/mismatched file is real data loss — refuse
   // to open rather than serve zeros.
+  {
+    std::lock_guard<SpinLock> g(cold_page_mu_);
+    cold_released_.assign(num_segments_, 0);
+  }
   std::uint64_t cold_count = 0;
   for (std::uint64_t sec = 0; sec < num_segments_; ++sec) {
     const std::uint64_t w = cold_residency_word(sec);
@@ -140,10 +149,7 @@ void DgapStore::cold_attach() {
     if (cold_->file_gen(sec) != residency_gen(w))
       throw std::runtime_error(
           "cold tier: image generation mismatch for a demoted section");
-    pool_.release_physical(pool_.offset_of(slots_ + (sec << seg_shift_)),
-                           seg_slots_ * sizeof(Slot));
-    pool_.release_physical(pool_.offset_of(elog(sec)),
-                           elog_entries_ * sizeof(ElogEntry));
+    cold_release_pages(sec);
     ++cold_count;
   }
   cold_->set_cold_sections(cold_count);
@@ -208,7 +214,7 @@ const Slot* DgapStore::cold_image_if_cold(
 
 bool DgapStore::cold_read_may_promote(std::uint64_t sec,
                                       std::uint64_t& reserved) const {
-  const std::uint64_t need = cold_section_pmem_bytes();
+  const std::uint64_t need = cold_reclaimable_bytes(sec);
   const std::uint64_t budget =
       cold_budget_bytes_.load(std::memory_order_relaxed);
   std::uint64_t held = cold_promote_reserved_.load(std::memory_order_relaxed);
@@ -235,9 +241,8 @@ Slot DgapStore::cold_probe_slot(std::uint64_t pos) const {
   for (;;) {
     const std::uint64_t w = cold_residency_word(sec);
     if (DGAP_LIKELY(!residency_is_cold(w))) return slots_[pos];
-    const std::uint64_t word =
-        cold_->read_slot_word(sec, pos - (sec << seg_shift_));
-    if (cold_residency_word(sec) == w) return static_cast<Slot>(word);
+    const Slot s = cold_->read_slot_word(sec, pos - (sec << seg_shift_));
+    if (cold_residency_word(sec) == w) return s;
     cold_->count_read_retry();
   }
 }
@@ -251,20 +256,17 @@ void DgapStore::ensure_resident_locked(std::uint64_t sec) {
     throw std::runtime_error(
         "cold tier: image generation mismatch on promote");
 
-  Slot* dst = slots_ + (sec << seg_shift_);
-  const std::uint64_t slot_bytes = seg_slots_ * sizeof(Slot);
-  cold_->read_section(sec, dst);
-  pool_.persist(dst, slot_bytes);  // image durable in pmem BEFORE the flip
-  // The elog tail was all-zero at demotion and nothing could write it while
+  // The elog tail was empty at demotion and nothing could write it while
   // cold (writers promote first): its punched pages read back zero, which
-  // IS its content — nothing to restore, just re-account both ranges.
-  pool_.reclaim_physical(pool_.offset_of(dst), slot_bytes);
-  pool_.reclaim_physical(pool_.offset_of(elog(sec)),
-                         elog_entries_ * sizeof(ElogEntry));
+  // IS its content — nothing to restore, just take the pages back.
+  const std::uint64_t reclaimed = cold_reclaim_pages(sec);
+  Slot* dst = slots_ + (sec << seg_shift_);
+  cold_->read_section(sec, dst);
+  pool_.persist(dst, seg_slots_ * sizeof(Slot));  // durable BEFORE the flip
   std::atomic_ref<std::uint64_t>(residency_[sec])
       .store(residency_gen(w), std::memory_order_release);
   pool_.persist(&residency_[sec], sizeof(std::uint64_t));
-  cold_->count_promotion(cold_section_pmem_bytes());
+  cold_->count_promotion(reclaimed);
   // The section is hot by definition (an access got us here) — offer it to
   // the DRAM tier without waiting for a second miss.
   if (cache_ != nullptr) cache_->admit_promoted(sec, dst);
@@ -329,10 +331,10 @@ bool DgapStore::cold_demote_one(std::uint64_t sec) {
   if (!residency_is_cold(w) && relaxed_u32(meta.elog_raw) == 0) {
     const obs::ScopedLatency lat(&cold_->demote_hist());
     Slot* src = slots_ + (sec << seg_shift_);
-    const std::uint64_t slot_bytes = seg_slots_ * sizeof(Slot);
     const std::uint64_t gen = residency_gen(w) + 1;
     // Image + generation durable on the SSD first; readers still see pmem.
     cold_->write_section(sec, src, gen);
+    std::uint64_t released = 0;
     {
       // Full gate, not a windowed one: a run that STARTS in a neighboring
       // section may span into this one, and such a reader would be admitted
@@ -345,11 +347,9 @@ bool DgapStore::cold_demote_one(std::uint64_t sec) {
       std::atomic_ref<std::uint64_t>(residency_[sec])
           .store(kResidencyColdBit | gen, std::memory_order_release);
       pool_.persist(&residency_[sec], sizeof(std::uint64_t));
-      pool_.release_physical(pool_.offset_of(src), slot_bytes);
-      pool_.release_physical(pool_.offset_of(elog(sec)),
-                             elog_entries_ * sizeof(ElogEntry));
+      released = cold_release_pages(sec);
     }
-    cold_->count_demotion(cold_section_pmem_bytes());
+    cold_->count_demotion(released);
     demoted = true;
   }
   meta.lock.unlock();
@@ -373,26 +373,49 @@ void DgapStore::cold_enforce_budget_locked() {
   cold_->decay_rates();
   const std::uint64_t budget_bytes =
       cold_budget_bytes_.load(std::memory_order_relaxed);
-  // Victims: resident, write-quiet sections, coldest first. The elog check
-  // here is a racy pre-filter — cold_demote_one re-validates under the
-  // section lock. The pass runs even within budget: it refreshes the
-  // eviction mark read promotions are judged against.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
-  victims.reserve(num_segments_);
-  for (std::uint64_t sec = 0; sec < num_segments_; ++sec) {
-    if (cold_is_cold(sec)) continue;
-    if (relaxed_u32(sections_[sec].elog_raw) != 0) continue;
-    victims.emplace_back(
-        heat_score(cold_->read_rate(sec), cold_->churn_rate(sec)), sec);
+  // Victims are page groups: the sections whose slot images share one pmem
+  // page (one section once a section fills a page). A lone section of a
+  // group frees no slot page, so a group goes together, judged by its
+  // hottest resident member (a read-hot section must never leave pmem).
+  // Only write-quiet groups qualify; the elog check is a racy pre-filter —
+  // cold_demote_one re-validates under the section lock. The pass runs even
+  // within budget: it refreshes the eviction mark read promotions are
+  // judged against.
+  const std::uint64_t group = std::max<std::uint64_t>(
+      1, pmem::PmemPool::kPageBytes / (seg_slots_ * sizeof(Slot)));
+  struct Victim {
+    std::uint64_t score;
+    std::uint64_t first;    // first section of the group
+    std::uint64_t hottest;  // its hottest resident section
+  };
+  std::vector<Victim> victims;
+  victims.reserve(num_segments_ / group + 1);
+  for (std::uint64_t first = 0; first < num_segments_; first += group) {
+    const std::uint64_t last = std::min(first + group, num_segments_);
+    Victim v{0, first, kNoColdMark};
+    bool quiet = true;
+    for (std::uint64_t sec = first; quiet && sec < last; ++sec) {
+      if (cold_is_cold(sec)) continue;
+      quiet = relaxed_u32(sections_[sec].elog_raw) == 0;
+      const std::uint64_t h =
+          heat_score(cold_->read_rate(sec), cold_->churn_rate(sec));
+      if (v.hottest == kNoColdMark || h > v.score) v = {h, first, sec};
+    }
+    if (quiet && v.hottest != kNoColdMark) victims.push_back(v);
   }
-  std::sort(victims.begin(), victims.end());
+  std::sort(victims.begin(), victims.end(),
+            [](const Victim& a, const Victim& b) {
+              return a.score != b.score ? a.score < b.score : a.first < b.first;
+            });
   std::uint64_t mark = kNoColdMark;
-  for (const auto& [score, sec] : victims) {
+  for (const Victim& v : victims) {
     if (pool_.resident_bytes() <= budget_bytes) {
-      mark = sec;
+      mark = v.hottest;
       break;
     }
-    cold_demote_one(sec);
+    const std::uint64_t last = std::min(v.first + group, num_segments_);
+    for (std::uint64_t sec = v.first; sec < last; ++sec)
+      if (!cold_is_cold(sec)) cold_demote_one(sec);
   }
   cold_evict_mark_.store(mark, std::memory_order_relaxed);
 }
@@ -427,8 +450,54 @@ void DgapStore::cold_maybe_schedule_enforce() {
   }
 }
 
-std::uint64_t DgapStore::cold_section_pmem_bytes() const {
-  return seg_slots_ * sizeof(Slot) + elog_entries_ * sizeof(ElogEntry);
+std::vector<std::uint64_t> DgapStore::cold_released_pages_locked(
+    std::uint64_t sec) const {
+  constexpr std::uint64_t kPage = pmem::PmemPool::kPageBytes;
+  std::vector<std::uint64_t> pages;
+  if (sec >= cold_released_.size()) return pages;  // stale (pre-resize) id
+  // Both per-section regions: the slot images and the elog tails. A page
+  // that runs past a region's end shares bytes with the next allocation
+  // and is never released.
+  const auto scan = [&](std::uint64_t base, std::uint64_t stride) {
+    const std::uint64_t end = base + stride * cold_released_.size();
+    for (std::uint64_t pg = (base + sec * stride) / kPage * kPage;
+         pg < base + (sec + 1) * stride; pg += kPage) {
+      if (pg < base || pg + kPage > end) continue;
+      bool all = true;
+      for (std::uint64_t s = (pg - base) / stride;
+           all && s <= (pg + kPage - 1 - base) / stride; ++s)
+        all = cold_released_[s] != 0;
+      if (all) pages.push_back(pg);
+    }
+  };
+  scan(pool_.offset_of(slots_), seg_slots_ * sizeof(Slot));
+  scan(pool_.offset_of(elog_base_), elog_entries_ * sizeof(ElogEntry));
+  return pages;
+}
+
+std::uint64_t DgapStore::cold_release_pages(std::uint64_t sec) {
+  std::lock_guard<SpinLock> g(cold_page_mu_);
+  if (sec >= cold_released_.size()) return 0;
+  cold_released_[sec] = 1;
+  const std::vector<std::uint64_t> pages = cold_released_pages_locked(sec);
+  for (const std::uint64_t pg : pages)
+    pool_.release_physical(pg, pmem::PmemPool::kPageBytes);
+  return pages.size() * pmem::PmemPool::kPageBytes;
+}
+
+std::uint64_t DgapStore::cold_reclaim_pages(std::uint64_t sec) {
+  std::lock_guard<SpinLock> g(cold_page_mu_);
+  if (sec >= cold_released_.size()) return 0;
+  const std::vector<std::uint64_t> pages = cold_released_pages_locked(sec);
+  for (const std::uint64_t pg : pages)
+    pool_.reclaim_physical(pg, pmem::PmemPool::kPageBytes);
+  cold_released_[sec] = 0;
+  return pages.size() * pmem::PmemPool::kPageBytes;
+}
+
+std::uint64_t DgapStore::cold_reclaimable_bytes(std::uint64_t sec) const {
+  std::lock_guard<SpinLock> g(cold_page_mu_);
+  return cold_released_pages_locked(sec).size() * pmem::PmemPool::kPageBytes;
 }
 
 const Slot* DgapStore::section_for_scan(std::uint64_t sec,
@@ -450,6 +519,18 @@ void DgapStore::debug_cold_demote_all() {
   } catch (...) {
     // Crash-injection sweeps fire CrashInjected from the persist calls
     // inside cold_demote_one; don't leak the mutex into the unwound store.
+    rebalance_mu_.unlock();
+    throw;
+  }
+  rebalance_mu_.unlock();
+}
+
+void DgapStore::debug_cold_demote(std::uint64_t sec) {
+  if (cold_ == nullptr) return;
+  rebalance_mu_.lock();
+  try {
+    if (sec < num_segments_ && !cold_is_cold(sec)) cold_demote_one(sec);
+  } catch (...) {
     rebalance_mu_.unlock();
     throw;
   }

@@ -94,6 +94,8 @@ void DgapStore::adopt_layout(const DgapLayout& l) {
     cold_->reconfigure(root_->layout_off, num_segments_,
                        seg_slots_ * sizeof(Slot));
     cold_evict_mark_.store(kNoColdMark, std::memory_order_relaxed);
+    std::lock_guard<SpinLock> g(cold_page_mu_);
+    cold_released_.assign(num_segments_, 0);
   }
 
   // (Re)shape the DRAM hot tier for this layout's section geometry. Every
@@ -138,6 +140,9 @@ std::unique_ptr<DgapStore> DgapStore::create(pmem::PmemPool& pool,
         std::to_string(kMaxSegmentSlots) +
         " slots per section)");  // unclamped huge sections would overflow
                                  // the capacity byte-size math in init_fresh
+  if (opts_in.init_vertices > kMaxVertexId + 1)
+    throw std::out_of_range("init_vertices exceeds kMaxVertexId + 1 (" +
+                            std::to_string(kMaxVertexId + 1) + ")");
   const DgapOptions opts = resolve_ingest_profile(opts_in);
   if (!is_pow2(opts.segment_slots))
     throw std::invalid_argument("segment_slots must be a power of two");
@@ -350,6 +355,12 @@ void DgapStore::register_metrics() {
 void DgapStore::insert_vertex(NodeId v) { ensure_vertices(v); }
 
 void DgapStore::ensure_vertices(NodeId max_id) {
+  // Every id-taking entry point funnels through here before it writes, so
+  // an id the 32-bit slot encoding cannot hold leaves the store untouched.
+  if (max_id > kMaxVertexId)
+    throw std::out_of_range("vertex id " + std::to_string(max_id) +
+                            " exceeds kMaxVertexId (" +
+                            std::to_string(kMaxVertexId) + ")");
   if (max_id < num_nodes()) return;
   std::lock_guard<SpinLock> g(vertex_mu_);
   while (num_nodes() <= max_id) {
@@ -494,7 +505,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
 
     if (live.el_count == 0 && pos < cap && is_gap(slots_[pos])) {
       // Case (a), Fig 3(a): the slot at the end of the run is free — write
-      // the edge in place with a single atomic 8-byte persist, then
+      // the edge in place with a single atomic 4-byte persist, then
       // release-publish the count for the lock-free snapshot readers.
       pool_.store_persist(&slots_[pos], encode_edge(dst, tombstone));
       // Write-through BEFORE the count publish: a reader whose acquired

@@ -125,6 +125,7 @@ class DgapStore {
   // Deletion = re-insert with a tombstone flag.
   void delete_edge(NodeId src, NodeId dst);
   // Ensure vertex ids [0, v] exist (pivot appended for each new vertex).
+  // Every update throws std::out_of_range for an id above kMaxVertexId.
   void insert_vertex(NodeId v);
 
   // Batched ingestion (batch_insert.cpp): absorb a whole batch with one
@@ -219,9 +220,12 @@ class DgapStore {
     if (cold_ != nullptr && bytes != 0)
       cold_budget_bytes_.store(bytes, std::memory_order_relaxed);
   }
-  // Test hooks: demote every eligible section / promote everything back.
+  // Test hooks: demote every eligible section / promote everything back,
+  // or one section (ids past the live layout are ignored).
   void debug_cold_demote_all();
   void debug_cold_promote_all();
+  void debug_cold_demote(std::uint64_t sec);
+  void debug_cold_promote(std::uint64_t sec) { cold_promote(sec); }
 
   // Latency distributions (ns): snapshot-freeze duration (one sample per
   // consistent_view), window-rebalance duration, and resize duration.
@@ -488,8 +492,18 @@ class DgapStore {
   bool cold_demote_one(std::uint64_t sec);
   void cold_enforce_budget_locked();   // rebalance_mu_ held
   void cold_maybe_schedule_enforce();  // post-batch/post-promote trigger
-  // Per-section pmem bytes a demotion releases (slots + elog tail).
-  [[nodiscard]] std::uint64_t cold_section_pmem_bytes() const;
+  // Page release (cold_page_mu_ taken inside). A pmem page can hold slot or
+  // elog bytes of several sections, so it is punched only once every
+  // section it holds bytes of is released, and taken back when the first of
+  // them is promoted. Each returns the page bytes it punched or took back.
+  std::uint64_t cold_release_pages(std::uint64_t sec);   // after the flip
+  std::uint64_t cold_reclaim_pages(std::uint64_t sec);   // before rewrite
+  // Bytes cold_reclaim_pages(sec) would take back now (promotion headroom).
+  [[nodiscard]] std::uint64_t cold_reclaimable_bytes(std::uint64_t sec) const;
+  // Offsets of the whole pages holding bytes of `sec` and only of released
+  // sections. cold_page_mu_ held.
+  [[nodiscard]] std::vector<std::uint64_t> cold_released_pages_locked(
+      std::uint64_t sec) const;
   // Scan source for one section: pmem when resident, the cold-file image
   // staged into `buf` otherwise (check_invariants, recovery scan).
   const Slot* section_for_scan(std::uint64_t sec, std::vector<Slot>& buf) const;
@@ -618,6 +632,10 @@ class DgapStore {
   // (pool_.at(layout.residency_off)); refreshed in adopt_layout under the
   // same stability rules as slots_.
   std::uint64_t* residency_ = nullptr;
+  // Per live-layout section: 1 from its demotion's page release until its
+  // promotion starts. Sized in cold_attach/adopt_layout.
+  mutable SpinLock cold_page_mu_;
+  std::vector<std::uint8_t> cold_released_;
   std::atomic<std::uint64_t> cold_budget_bytes_{0};
   // Budget headroom claimed by queued read promotions, so concurrent
   // readers cannot all promote into the same free bytes.

@@ -1,12 +1,16 @@
 // Slot and edge-log entry encodings for the persistent edge array.
 //
-// Each edge array slot is a 64-bit word:
+// Each edge array slot is a 32-bit word, as in the paper (§3: the edge array
+// holds destination vertex IDs):
 //   0              : gap (empty slot)
 //   negative       : pivot; vertex id = -slot - 1 (paper §3: "-vertex-id",
 //                    shifted by one so vertex 0 is representable)
-//   positive       : edge; destination = slot - 1; bit 62 set marks a
+//   positive       : edge; destination = slot - 1; bit 30 set marks a
 //                    tombstoned (deleted) edge (paper §3.1.2: "first bit of
 //                    the destination vertex ID").
+// An edge needs dst + 1 below bit 30, so vertex ids are capped at
+// kMaxVertexId = 2^30 - 2; every store entry point rejects larger ids with
+// std::out_of_range instead of wrapping them.
 //
 // Edge-log entries are 12 bytes (paper §3, component 3): source, destination
 // and a back-pointer chaining the entries of one source vertex newest-first.
@@ -22,10 +26,13 @@
 
 namespace dgap::core {
 
-using Slot = std::int64_t;
+using Slot = std::int32_t;
 
 inline constexpr Slot kGapSlot = 0;
-inline constexpr Slot kTombBit = Slot{1} << 62;
+inline constexpr Slot kTombBit = Slot{1} << 30;
+
+// Largest vertex id the slot and edge-log encodings can hold.
+inline constexpr NodeId kMaxVertexId = (NodeId{1} << 30) - 2;
 
 constexpr Slot encode_pivot(NodeId v) { return -(static_cast<Slot>(v) + 1); }
 constexpr bool is_pivot(Slot s) { return s < 0; }

@@ -48,12 +48,13 @@ struct DgapRoot {
   std::uint64_t tx_anchor_off;  // PmemTx journal anchor (ablation mode)
 };
 
-// Root magic doubles as the format version: "DGAPSTO4" — bumped from
-// "DGAPSTO3" when the shard-identity fields left DgapRoot (from "DGAPSTO2"
-// before that, when the cold-tier residency map grew DgapLayout, and from
+// Root magic doubles as the format version: "DGAPSTO5" — bumped from
+// "DGAPSTO4" when edge-array slots shrank from 64 to 32 bits (from
+// "DGAPSTO3" before that, when the shard-identity fields left DgapRoot; from
+// "DGAPSTO2" when the cold-tier residency map grew DgapLayout; and from
 // "DGAPSTOR" when the shard-identity fields grew DgapRoot), so a pool
 // written by an old layout is rejected at open instead of misread.
-inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f34ULL;
+inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f35ULL;
 
 // Residency-word helpers (DgapLayout::residency_off).
 inline constexpr std::uint64_t kResidencyColdBit = 1ull << 63;

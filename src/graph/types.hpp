@@ -8,10 +8,9 @@
 
 namespace dgap {
 
-// Vertex identifier. The paper stores 32-bit destination IDs on PM; we use
-// 64-bit ids at the API level (and 64-bit slots in the PM edge array so the
-// pivot encoding -vertex_id and the tombstone bit always fit) while keeping
-// the 4-byte payload accounting for write-amplification metrics.
+// Vertex identifier. The paper stores 32-bit destination IDs on PM, and so
+// does DgapStore's edge array (src/core/encoding.hpp, which caps ids at
+// kMaxVertexId); the API uses 64-bit ids so every store shares one type.
 using NodeId = std::int64_t;
 
 inline constexpr NodeId kInvalidNode = -1;

@@ -133,6 +133,8 @@ Epoch AsyncIngestor::submit_internal(std::span<const Edge> edges,
   for (const Edge& e : edges) {
     if (e.src < 0 || e.dst < 0)
       throw std::invalid_argument("AsyncIngestor: negative vertex id");
+    if (e.src > core::kMaxVertexId || e.dst > core::kMaxVertexId)
+      throw std::out_of_range("AsyncIngestor: vertex id exceeds kMaxVertexId");
   }
 
   // Bucket the span by staging queue, splitting any bucket larger than the

@@ -155,7 +155,8 @@ class AsyncIngestor {
   AsyncIngestor& operator=(const AsyncIngestor&) = delete;
 
   // Stage edges for insertion/deletion; returns the submission's epoch
-  // ticket. Throws std::invalid_argument on negative vertex ids (rejected
+  // ticket. Throws std::invalid_argument on negative vertex ids and
+  // std::out_of_range on ids above core::kMaxVertexId (rejected
   // producer-side so a poisoned batch never reaches an absorber).
   Epoch submit(std::span<const Edge> edges) {
     return submit_internal(edges, /*tombstone=*/false);

@@ -206,14 +206,24 @@ bool PmemPool::was_clean_shutdown() const {
   return header()->normal_shutdown != 0;
 }
 
+namespace {
+// Bytes of the whole pages inside [off, off+len).
+std::uint64_t inner_page_bytes(std::uint64_t off, std::uint64_t len) {
+  const std::uint64_t pg_lo = round_up(off, PmemPool::kPageBytes);
+  const std::uint64_t pg_hi =
+      (off + len) / PmemPool::kPageBytes * PmemPool::kPageBytes;
+  return pg_hi > pg_lo ? pg_hi - pg_lo : 0;
+}
+}  // namespace
+
 void PmemPool::release_physical(std::uint64_t off, std::uint64_t len) {
-  if (len == 0) return;
-  const std::uint64_t pg_lo = round_up(off, 4096);
-  const std::uint64_t pg_hi = ((off + len) / 4096) * 4096;
-  if (!shadow_ && pg_hi > pg_lo && pg_hi <= size_) {
-    const std::size_t n = static_cast<std::size_t>(pg_hi - pg_lo);
+  const std::uint64_t n = inner_page_bytes(off, len);
+  if (n == 0) return;
+  const std::uint64_t pg_lo = round_up(off, kPageBytes);
+  if (!shadow_) {
     if (anonymous_) {
-      ::madvise(static_cast<char*>(durable_) + pg_lo, n, MADV_DONTNEED);
+      ::madvise(static_cast<char*>(durable_) + pg_lo,
+                static_cast<std::size_t>(n), MADV_DONTNEED);
     } else {
 #ifdef FALLOC_FL_PUNCH_HOLE
       ::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
@@ -221,11 +231,11 @@ void PmemPool::release_physical(std::uint64_t off, std::uint64_t len) {
 #endif
     }
   }
-  punched_.fetch_add(len, std::memory_order_relaxed);
+  punched_.fetch_add(n, std::memory_order_relaxed);
 }
 
-void PmemPool::reclaim_physical(std::uint64_t, std::uint64_t len) {
-  punched_.fetch_sub(len, std::memory_order_relaxed);
+void PmemPool::reclaim_physical(std::uint64_t off, std::uint64_t len) {
+  punched_.fetch_sub(inner_page_bytes(off, len), std::memory_order_relaxed);
 }
 
 std::uint64_t PmemPool::resident_bytes() const {

@@ -51,18 +51,20 @@ class PmemPool {
   [[nodiscard]] bool anonymous() const { return anonymous_; }
 
   // --- physical space accounting (SSD cold tier) ---------------------------
+  static constexpr std::uint64_t kPageBytes = 4096;
   // Return the physical pages backing [off, off+len) to the OS. The range is
-  // rounded *inward* to whole 4 KiB pages; file-backed pools punch a hole
-  // (FALLOC_FL_PUNCH_HOLE, the file stays the same length), anonymous pools
-  // MADV_DONTNEED — both read back as zeros. Shadow pools only account: the
-  // front/durable buffers keep their bytes so the crash-simulation contract
-  // is unaffected (callers only release ranges whose logical content lives
-  // in another tier). The full `len` is charged to the punched counter
-  // either way so resident_bytes() matches the caller's budget math even
-  // for sub-page tails. Best-effort: a failed punch still accounts.
+  // rounded *inward* to whole kPageBytes pages; file-backed pools punch a
+  // hole (FALLOC_FL_PUNCH_HOLE, the file stays the same length), anonymous
+  // pools MADV_DONTNEED — both read back as zeros. Shadow pools only
+  // account: the front/durable buffers keep their bytes so the
+  // crash-simulation contract is unaffected (callers only release ranges
+  // whose logical content lives in another tier). Only the whole pages are
+  // charged to the punched counter, so resident_bytes() never counts a
+  // sub-page tail as freed. Best-effort: a failed punch still accounts.
   void release_physical(std::uint64_t off, std::uint64_t len);
   // Undo the accounting for a released range that is about to be rewritten
-  // (promotion); the pages fault back in on the first store.
+  // (promotion; same inward rounding); the pages fault back in on the first
+  // store.
   void reclaim_physical(std::uint64_t off, std::uint64_t len);
   // Bytes the pool is believed to keep resident: the allocator bump minus
   // released ranges. An estimate (virtual pages count from allocation, not

@@ -139,10 +139,11 @@ void ColdTier::read_section(std::uint64_t sec, void* dst) {
           static_cast<std::size_t>(section_bytes_));
 }
 
-std::uint64_t ColdTier::read_slot_word(std::uint64_t sec,
-                                       std::uint64_t slot_idx) {
-  std::uint64_t w = 0;
-  full_io(fd_, false, image_off(sec) + slot_idx * 8, &w, sizeof(w));
+core::Slot ColdTier::read_slot_word(std::uint64_t sec,
+                                    std::uint64_t slot_idx) {
+  core::Slot w = 0;
+  full_io(fd_, false, image_off(sec) + slot_idx * sizeof(core::Slot), &w,
+          sizeof(w));
   return w;
 }
 

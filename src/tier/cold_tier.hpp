@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 
+#include "src/core/encoding.hpp"
 #include "src/obs/latency_histogram.hpp"
 
 namespace dgap::tier {
@@ -81,8 +82,8 @@ class ColdTier {
   void write_section(std::uint64_t sec, const void* src, std::uint64_t gen);
   // Read a full image into dst (concurrent-safe; positional reads).
   void read_section(std::uint64_t sec, void* dst);
-  // Read one 8-byte slot of a section image (rebalance boundary probes).
-  std::uint64_t read_slot_word(std::uint64_t sec, std::uint64_t slot_idx);
+  // Read one slot of a section image (rebalance boundary probes).
+  core::Slot read_slot_word(std::uint64_t sec, std::uint64_t slot_idx);
   [[nodiscard]] std::uint64_t file_gen(std::uint64_t sec);
 
   // --- placement EWMAs (PR-6 admission idiom) ------------------------------

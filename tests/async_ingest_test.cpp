@@ -264,6 +264,26 @@ TEST_F(AsyncFixture, RejectsNegativeIdsProducerSide) {
   ing->drain();
 }
 
+// An id the store's encoding cannot hold fails on the producer side; it
+// must not reach an absorber, where the store's throw would latch the
+// ingestor's error and poison every later submission.
+TEST_F(AsyncFixture, RejectsIdsAboveEncodingLimitProducerSide) {
+  make_store(1);
+  AsyncIngestor::Options o;
+  o.absorbers = 1;
+  auto ing = make_dgap_ingestor(*store, o);
+  const std::vector<Edge> bad = {{3, 4}, {5, core::kMaxVertexId + 1}};
+  ASSERT_THROW(ing->submit(bad), std::out_of_range);
+  ASSERT_THROW(ing->submit_deletes(bad), std::out_of_range);
+  ASSERT_EQ(ing->stats().submitted_edges, 0u);
+
+  const std::vector<Edge> good = {{3, 4}, {5, 6}};
+  ing->wait_durable(ing->submit(good));
+  EXPECT_EQ(ing->stats().submitted_edges, 2u);
+  EXPECT_EQ(store->consistent_view().neighbors(3), std::vector<NodeId>{4});
+  EXPECT_EQ(store->consistent_view().neighbors(5), std::vector<NodeId>{6});
+}
+
 // A Snapshot taken mid-stream must never observe a half-absorbed batch
 // group out of order: each source's visible neighbor list is always the
 // chronological prefix of what was submitted for it. Sources emit

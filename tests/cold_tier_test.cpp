@@ -5,6 +5,7 @@
 // thread's reused cold image never outlives the bytes it copied, and read
 // promotion resists uniform sweeps while still following a skewed reader.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "src/algorithms/pagerank.hpp"
 #include "src/core/dgap_store.hpp"
+#include "src/core/persistent_layout.hpp"
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/generators.hpp"
 #include "src/obs/metrics_registry.hpp"
@@ -132,6 +134,42 @@ class ColdFile {
   std::string path_;
 };
 
+// read_slot_word is the rebalance boundary probe into a cold image: it must
+// address slots at the slot width and return every kind of slot exactly,
+// up to the last slot of the last section.
+TEST(ColdTier, ReadSlotWordReturnsEverySlotOfEveryImage) {
+  const ColdFile file("slot_word");
+  constexpr std::uint64_t kSections = 3;
+  constexpr std::uint64_t kSlots = 64;
+  tier::ColdTier tier({.path = file.path(),
+                       .layout_id = 7,
+                       .num_sections = kSections,
+                       .section_bytes = kSlots * sizeof(Slot)});
+
+  std::vector<std::vector<Slot>> images(kSections, std::vector<Slot>(kSlots));
+  for (std::uint64_t sec = 0; sec < kSections; ++sec) {
+    for (std::uint64_t i = 0; i < kSlots; ++i) {
+      const auto id = static_cast<NodeId>(sec * kSlots + i);
+      switch (i % 4) {
+        case 0: images[sec][i] = kGapSlot; break;
+        case 1: images[sec][i] = encode_pivot(id); break;
+        case 2: images[sec][i] = encode_edge(id); break;
+        default: images[sec][i] = encode_edge(id, /*tombstone=*/true);
+      }
+    }
+    tier.write_section(sec, images[sec].data(), sec + 1);
+  }
+  // The extremes of the id range land in the final slots of the file.
+  images[kSections - 1][kSlots - 2] = encode_pivot(kMaxVertexId);
+  images[kSections - 1][kSlots - 1] = encode_edge(kMaxVertexId, true);
+  tier.write_section(kSections - 1, images[kSections - 1].data(), kSections);
+
+  for (std::uint64_t sec = 0; sec < kSections; ++sec)
+    for (std::uint64_t i = 0; i < kSlots; ++i)
+      ASSERT_EQ(tier.read_slot_word(sec, i), images[sec][i])
+          << "section " << sec << " slot " << i;
+}
+
 TEST(ColdTier, DemotePromoteRoundTripMatchesOracle) {
   const ColdFile file("roundtrip");
   auto pool = PmemPool::create({.path = "", .size = 64ull << 20});
@@ -166,6 +204,85 @@ TEST(ColdTier, DemotePromoteRoundTripMatchesOracle) {
   EXPECT_GE(after_promote.promotions, after_demote.demotions);
   expect_matches_oracle(*store, oracle, "promoted");
   EXPECT_TRUE(store->check_invariants(&why)) << why;
+}
+
+// Whether the pool page at byte offset `off` is backed by memory.
+bool page_resident(const PmemPool& pool, std::uint64_t off) {
+  unsigned char v = 0;
+  EXPECT_EQ(::mincore(pool.at<char>(off), PmemPool::kPageBytes, &v), 0);
+  return (v & 1) != 0;
+}
+
+// With 512-slot sections a slot image is half a page and an elog tail
+// (170 entries, 2040 B) a little under half, so sections share pages. A
+// page must be freed — in resident_bytes() and in physical memory — once
+// every section on it is cold, not before, and taken back by the first
+// promotion. Anonymous (MADV_DONTNEED) and file-backed (hole punch) pools.
+TEST(ColdTier, SharedPagesAreFreedOnceEverySectionOnThemIsCold) {
+  for (const bool file_backed : {false, true}) {
+    SCOPED_TRACE(file_backed ? "file-backed pool" : "anonymous pool");
+    const ColdFile file("pages");
+    const ColdFile pool_file("pages_pool");
+    auto pool = PmemPool::create(
+        {.path = file_backed ? pool_file.path() : "", .size = 16ull << 20});
+    DgapOptions o;
+    o.init_vertices = 64;
+    o.init_edges = 4096;
+    o.cold_tier = true;
+    o.cold_tier_path = file.path();
+    auto store = DgapStore::create(*pool, o);
+    AdjGraph oracle(64);
+    for (NodeId v = 0; v < 64; ++v) {
+      for (NodeId d = 1; d <= 3; ++d) {
+        store->insert_edge(v, (v + d) % 64);
+        oracle.add_edge(v, (v + d) % 64);
+      }
+    }
+
+    const auto& root = *pool->at<DgapRoot>(pool->root());
+    const auto& layout = *pool->at<DgapLayout>(root.layout_off);
+    constexpr std::uint64_t kPage = PmemPool::kPageBytes;
+    ASSERT_EQ(layout.segment_slots * sizeof(Slot), kPage / 2);
+    ASSERT_EQ(layout.elog_entries * sizeof(ElogEntry), 2040u);
+    ASSERT_GE(layout.num_segments, 4u);
+    const std::uint64_t slot_page = layout.edge_array_off;  // sections 0-1
+    const std::uint64_t elog_page = layout.elog_region_off;  // tails 0-2
+    // No budget headroom: cold reads must not promote behind the test.
+    store->set_cold_budget_bytes(1);
+    const std::uint64_t full = store->resident_bytes();
+    ASSERT_TRUE(page_resident(*pool, slot_page));
+    ASSERT_TRUE(page_resident(*pool, elog_page));
+
+    store->debug_cold_demote(0);  // its partner is resident: nothing freed
+    EXPECT_EQ(store->cold_stats().cold_sections, 1u);
+    EXPECT_EQ(store->resident_bytes(), full);
+    EXPECT_TRUE(page_resident(*pool, slot_page));
+
+    store->debug_cold_demote(1);  // the slot page is all cold
+    EXPECT_EQ(store->resident_bytes(), full - kPage);
+    EXPECT_FALSE(page_resident(*pool, slot_page));
+    EXPECT_TRUE(page_resident(*pool, elog_page));
+
+    store->debug_cold_demote(2);  // so is the first elog page
+    EXPECT_EQ(store->resident_bytes(), full - 2 * kPage);
+    EXPECT_FALSE(page_resident(*pool, elog_page));
+    EXPECT_EQ(store->cold_stats().demoted_bytes, 2 * kPage);
+    expect_matches_oracle(*store, oracle, "cold");
+
+    store->debug_cold_promote(1);  // takes both pages back
+    EXPECT_EQ(store->resident_bytes(), full);
+    EXPECT_EQ(store->cold_stats().promoted_bytes, 2 * kPage);
+    store->debug_cold_demote(1);
+    EXPECT_EQ(store->cold_stats().cold_sections, 3u);
+    EXPECT_EQ(store->resident_bytes(), full - 2 * kPage);
+    EXPECT_FALSE(page_resident(*pool, slot_page));
+
+    store->debug_cold_promote_all();
+    EXPECT_EQ(store->resident_bytes(), full);
+    expect_matches_oracle(*store, oracle, "promoted");
+    std::string why;
+    EXPECT_TRUE(store->check_invariants(&why)) << why;
+  }
 }
 
 TEST(ColdTier, WritesToColdSectionsPromoteFirst) {

@@ -179,6 +179,39 @@ TEST(DgapStore, RejectsNegativeIds) {
   EXPECT_THROW(store->insert_edge(2, -1), std::invalid_argument);
 }
 
+// Edge-array slots are 32-bit words: an id above kMaxVertexId cannot be
+// encoded and must be refused by every entry point, not wrapped, and the
+// refusal must leave the store as it was.
+TEST(DgapStore, RejectsIdsAboveEncodingLimit) {
+  // A 1 MB pool: were an over-limit id to slip past the check, the store
+  // would append pivots toward it and hit PoolCapacityError within a few
+  // seconds, failing the first ASSERT instead of growing for minutes.
+  auto pool = make_pool(1);
+  auto store = DgapStore::create(*pool, small_opts());
+  store->insert_edge(1, 2);
+  const NodeId nodes = store->num_nodes();
+  const std::uint64_t slots = store->num_edge_slots();
+  constexpr NodeId kOver = kMaxVertexId + 1;
+  const std::vector<Edge> bad = {{1, 3}, {4, kOver}};
+
+  ASSERT_THROW(store->insert_edge(kOver, 2), std::out_of_range);
+  EXPECT_THROW(store->insert_edge(2, kOver), std::out_of_range);
+  EXPECT_THROW(store->insert_edge(NodeId{1} << 31, 2), std::out_of_range);
+  EXPECT_THROW(store->delete_edge(1, kOver), std::out_of_range);
+  EXPECT_THROW(store->insert_vertex(kOver), std::out_of_range);
+  EXPECT_THROW(store->insert_batch(bad), std::out_of_range);
+  EXPECT_THROW(store->delete_batch(bad), std::out_of_range);
+  EXPECT_EQ(store->num_nodes(), nodes);
+  EXPECT_EQ(store->num_edge_slots(), slots);
+  std::string why;
+  EXPECT_TRUE(store->check_invariants(&why)) << why;
+
+  auto pool2 = make_pool(1);
+  DgapOptions o = small_opts();
+  o.init_vertices = kMaxVertexId + 2;
+  EXPECT_THROW((void)DgapStore::create(*pool2, o), std::out_of_range);
+}
+
 struct StoreConfig {
   const char* name;
   bool use_elog;
@@ -320,24 +353,27 @@ TEST(DgapStore, ReopenWithoutShutdownTakesScanPath) {
   std::filesystem::remove(path);
 }
 
-// The root magic is the on-media format version: a pool written under the
-// previous DgapRoot layout ("DGAPSTO3", which still carried the shard-
-// identity fields) must be rejected at open, not misread.
+// The root magic is the on-media format version: a pool written under a
+// previous format must be rejected at open, not misread. "DGAPSTO3" still
+// carried the shard-identity fields in DgapRoot; "DGAPSTO4" stored 64-bit
+// edge-array slots.
 TEST(DgapStore, OpenRejectsPreviousRootMagic) {
-  auto pool = make_pool();
-  auto store = DgapStore::create(*pool, small_opts());
-  store->insert_edge(1, 2);
-  store->shutdown();
-  store.reset();
-  // Control: the current magic reopens.
-  EXPECT_NO_THROW((void)DgapStore::open(*pool, small_opts()));
+  for (const std::uint64_t previous :
+       {0x4447'4150'5354'4f33ULL, 0x4447'4150'5354'4f34ULL}) {
+    auto pool = make_pool();
+    auto store = DgapStore::create(*pool, small_opts());
+    store->insert_edge(1, 2);
+    store->shutdown();
+    store.reset();
+    // Control: the current magic reopens.
+    EXPECT_NO_THROW((void)DgapStore::open(*pool, small_opts()));
 
-  constexpr std::uint64_t kPreviousMagic = 0x4447'4150'5354'4f33ULL;
-  ASSERT_NE(kPreviousMagic, kDgapMagic);
-  pool->store_persist(&pool->at<DgapRoot>(pool->root())->magic,
-                      kPreviousMagic);
-  EXPECT_THROW((void)DgapStore::open(*pool, small_opts()),
-               std::runtime_error);
+    ASSERT_NE(previous, kDgapMagic);
+    pool->store_persist(&pool->at<DgapRoot>(pool->root())->magic, previous);
+    EXPECT_THROW((void)DgapStore::open(*pool, small_opts()),
+                 std::runtime_error)
+        << std::hex << previous;
+  }
 }
 
 // --- batched ingestion (insert_batch / delete_batch) ------------------------

@@ -8,6 +8,9 @@
 namespace dgap::core {
 namespace {
 
+// The paper's edge array holds 32-bit destination ids (§3).
+static_assert(sizeof(Slot) == 4);
+
 TEST(SlotEncoding, GapIsZero) {
   EXPECT_TRUE(is_gap(kGapSlot));
   EXPECT_FALSE(is_pivot(kGapSlot));
@@ -15,7 +18,7 @@ TEST(SlotEncoding, GapIsZero) {
 }
 
 TEST(SlotEncoding, PivotRoundTrip) {
-  for (const NodeId v : {NodeId{0}, NodeId{1}, NodeId{1} << 40}) {
+  for (const NodeId v : {NodeId{0}, NodeId{1}, kMaxVertexId}) {
     const Slot s = encode_pivot(v);
     EXPECT_TRUE(is_pivot(s)) << v;
     EXPECT_FALSE(is_edge(s)) << v;
@@ -25,7 +28,7 @@ TEST(SlotEncoding, PivotRoundTrip) {
 }
 
 TEST(SlotEncoding, EdgeRoundTrip) {
-  for (const NodeId d : {NodeId{0}, NodeId{7}, NodeId{1} << 40}) {
+  for (const NodeId d : {NodeId{0}, NodeId{7}, kMaxVertexId}) {
     const Slot s = encode_edge(d);
     EXPECT_TRUE(is_edge(s)) << d;
     EXPECT_FALSE(is_pivot(s)) << d;
@@ -35,15 +38,16 @@ TEST(SlotEncoding, EdgeRoundTrip) {
 }
 
 TEST(SlotEncoding, TombstoneBit) {
-  const Slot s = encode_edge(42, /*tombstone=*/true);
-  EXPECT_TRUE(is_edge(s));
-  EXPECT_TRUE(edge_tombstone(s));
-  EXPECT_EQ(edge_dst(s), 42);
-  // Vertex 0 tombstone still distinguishable from a gap.
-  const Slot z = encode_edge(0, true);
-  EXPECT_FALSE(is_gap(z));
-  EXPECT_TRUE(edge_tombstone(z));
-  EXPECT_EQ(edge_dst(z), 0);
+  // Vertex 0's tombstone must stay distinguishable from a gap, and the
+  // largest id's from its live edge.
+  for (const NodeId d : {NodeId{0}, NodeId{42}, kMaxVertexId}) {
+    const Slot s = encode_edge(d, /*tombstone=*/true);
+    EXPECT_TRUE(is_edge(s)) << d;
+    EXPECT_FALSE(is_gap(s)) << d;
+    EXPECT_TRUE(edge_tombstone(s)) << d;
+    EXPECT_NE(s, encode_edge(d)) << d;
+    EXPECT_EQ(edge_dst(s), d);
+  }
 }
 
 TEST(SlotEncoding, PivotAndEdgeDisjoint) {
@@ -78,17 +82,21 @@ TEST(ElogEncoding, ZeroEntryIsUnused) {
 }
 
 TEST(ElogEncoding, TombstoneFlag) {
-  const ElogEntry e = make_elog_entry(3, 4, true, 0);
-  EXPECT_TRUE(elog_tombstone(e));
-  EXPECT_EQ(elog_dst(e), 4);
+  for (const NodeId d : {NodeId{4}, kMaxVertexId}) {
+    const ElogEntry e = make_elog_entry(3, d, true, 0);
+    EXPECT_TRUE(elog_tombstone(e)) << d;
+    EXPECT_EQ(elog_dst(e), d);
+  }
 }
 
 TEST(ElogEncoding, ConsumedFlagIndependentOfSrc) {
-  ElogEntry e = make_elog_entry(123, 456, false, 7);
-  e.src_p1 |= kElogFlagBit;
-  EXPECT_TRUE(elog_used(e));
-  EXPECT_TRUE(elog_consumed(e));
-  EXPECT_EQ(elog_src(e), 123);  // id survives the flag
+  for (const NodeId src : {NodeId{123}, kMaxVertexId}) {
+    ElogEntry e = make_elog_entry(src, 456, false, 7);
+    e.src_p1 |= kElogFlagBit;
+    EXPECT_TRUE(elog_used(e)) << src;
+    EXPECT_TRUE(elog_consumed(e)) << src;
+    EXPECT_EQ(elog_src(e), src);  // id survives the flag
+  }
 }
 
 TEST(UlogLayout, StrideCoversDescriptorAndData) {
