@@ -11,25 +11,24 @@
 // Deletes can split components, and a split cannot be resolved locally —
 // but only inside the components that actually lost an edge. The kernel
 // flags the previous labels touched by any deleted edge, resets each
-// member of those components to a singleton, and relinks the members in
-// parallel with GAPBS's lock-free min-root union-find: one pass over every
-// member's out-edges to other members, where each edge CASes the higher of
-// its endpoints' roots under the lower, then a parallel compress. Two care
-// points make that exact:
+// member of those components to a singleton, and runs the full kernel's
+// own Shiloach-Vishkin loop (cc_detail::shiloach_vishkin) over the
+// subgraph the members induce: only member-member edges are hooked and
+// only member labels are compressed, so the work follows the hit
+// components, not the graph. Two care points make that exact:
 //
-//  - Linking keeps comp[x] <= x, so every root is its tree's minimum id —
-//    the label full SV converges to. Each directed edge links both of its
-//    endpoints, so a delete that absorbed only one direction of a pair
-//    cannot under-merge: the surviving direction still joins them, just as
-//    full SV hooks every edge symmetrically.
+//  - SV converges every member to the minimum id of its component in the
+//    member-induced subgraph, hooking every directed edge symmetrically,
+//    so a delete that absorbed only one direction of a pair cannot
+//    under-merge: the surviving direction still joins them.
 //  - Restricting to members loses nothing: every surviving edge incident
 //    to a member leads to another member or was inserted since the older
 //    cut (old edges never crossed old components), and the hook pass
 //    covers the latter. Conversely the hook pass SKIPS member-member
-//    inserted edges: the surviving ones were already linked by the member
-//    pass, and an inserted edge cancelled by an in-round delete (which
-//    must be member-member — deleted endpoints are members by
-//    construction) must not merge anything.
+//    inserted edges: the surviving ones were already hooked by SV, and an
+//    inserted edge cancelled by an in-round delete (which must be
+//    member-member — deleted endpoints are members by construction) must
+//    not merge anything.
 //
 // Everything outside the touched components keeps its previous label.
 //
@@ -39,7 +38,6 @@
 // start as singletons and are merged by the hook pass.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -88,50 +86,37 @@ IncrementalCcResult incremental_cc(const G& g,
       hit[comp[e.src]] = 1;
       if (e.dst >= 0 && e.dst < n) hit[comp[e.dst]] = 1;
     }
-    member.assign(static_cast<std::size_t>(n), 0);
-    r.recomputed_vertices = par::reduce_blocks(
-        n, 4096, std::uint64_t{0},
-        [&](std::int64_t b, std::int64_t e) {
-          std::uint64_t cnt = 0;
-          for (NodeId v = b; v < e; ++v) {
-            if (hit[comp[v]] == 0) continue;
-            member[v] = 1;
-            comp[v] = v;
-            ++cnt;
-          }
-          return cnt;
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
-    // GAPBS Link: hang the higher root under the lower with a CAS, retrying
-    // from the grandparents when another thread moved either root first.
-    auto link = [&comp](NodeId u, NodeId v) {
-      NodeId p1 = cc_detail::load(comp[u]);
-      NodeId p2 = cc_detail::load(comp[v]);
-      while (p1 != p2) {
-        const NodeId high = p1 > p2 ? p1 : p2;
-        const NodeId low = p1 + p2 - high;
-        NodeId expected = high;
-        if (std::atomic_ref<NodeId>(comp[high])
-                .compare_exchange_strong(expected, low,
-                                         std::memory_order_relaxed) ||
-            expected == low)
-          return;
-        p1 = cc_detail::load(comp[cc_detail::load(comp[high])]);
-        p2 = cc_detail::load(comp[low]);
+    // Members, reset to singletons and listed in id order: per-block
+    // counts, then per-block fills at the prefix offsets.
+    constexpr std::int64_t kGrain = 4096;
+    member.resize(static_cast<std::size_t>(n));
+    std::vector<std::size_t> at(static_cast<std::size_t>(
+        (n + kGrain - 1) / kGrain + 1));
+    par::for_blocks(n, kGrain, [&](std::int64_t b, std::int64_t e) {
+      std::size_t cnt = 0;
+      for (NodeId v = b; v < e; ++v) {
+        member[v] = hit[comp[v]];
+        cnt += member[v];
       }
-    };
-    par::for_blocks(n, 1024, [&](std::int64_t b, std::int64_t e) {
-      for (NodeId u = b; u < e; ++u) {
-        if (member[u] == 0) continue;
-        g.for_each_out(u, [&](NodeId w) {
-          if (w >= 0 && w < n && member[w] != 0) link(u, w);
-        });
+      at[static_cast<std::size_t>(b / kGrain) + 1] = cnt;
+    });
+    for (std::size_t k = 1; k < at.size(); ++k) at[k] += at[k - 1];
+    std::vector<NodeId> members(at.back());
+    par::for_blocks(n, kGrain, [&](std::int64_t b, std::int64_t e) {
+      std::size_t k = at[static_cast<std::size_t>(b / kGrain)];
+      for (NodeId v = b; v < e; ++v) {
+        if (member[v] == 0) continue;
+        comp[v] = v;
+        members[k++] = v;
       }
     });
+    r.recomputed_vertices = members.size();
+    cc_detail::shiloach_vishkin(
+        g, comp, members, [&member](NodeId v) { return member[v] != 0; });
   }
 
   // `comp` is now a parent forest with comp[x] <= x (previous labels are
-  // their own roots, relinked members hang under their minimum): hook the
+  // their own roots, members carry their new component minimum): hook the
   // inserted edges with path-halving union-find, min root wins.
   auto find = [&comp](NodeId v) {
     while (comp[v] != comp[comp[v]]) comp[v] = comp[comp[v]];

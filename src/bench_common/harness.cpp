@@ -390,6 +390,7 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
     const double pr_s = ti.seconds() - diff_s - apply_s;
     auto icc = algorithms::incremental_cc(mirror, delta, prev_labels);
     const double incr_s = ti.seconds();
+    const double cc_s = incr_s - diff_s - apply_s - pr_s;
     incr_hist.record(static_cast<std::uint64_t>(incr_s * 1e9));
     Timer tf;
     const std::vector<double> fpr = algorithms::pagerank(cut, full_pr);
@@ -420,7 +421,8 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
        << "s incr=" << TablePrinter::fmt(incr_s, 4)
        << "s (diff=" << TablePrinter::fmt(diff_s, 4)
        << " apply=" << TablePrinter::fmt(apply_s, 4)
-       << " pr=" << TablePrinter::fmt(pr_s, 4) << ") speedup="
+       << " pr=" << TablePrinter::fmt(pr_s, 4)
+       << " cc=" << TablePrinter::fmt(cc_s, 4) << ") speedup="
        << TablePrinter::fmt(full_s / std::max(incr_s, 1e-9))
        << (delta.used_fallback ? " diff=O(V)" : "")
        << (ipr.full_fallback || icc.full_fallback ? " kernel=fallback" : "")

@@ -6,8 +6,22 @@
 #include <stdexcept>
 
 #include "src/core/dgap_store.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::core {
+
+namespace {
+
+// One touch block's share of the delta.
+struct BlockRuns {
+  std::vector<NodeId> changed;
+  std::vector<std::uint32_t> old_degree;
+  std::vector<DeltaEdge> inserted;
+  std::vector<DeltaEdge> deleted;
+  std::uint64_t scanned = 0;
+};
+
+}  // namespace
 
 SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
   if (!older.same_store_as(newer))
@@ -32,46 +46,76 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
 
   const NodeId n_old = d.nodes_before;
   const NodeId n_new = d.nodes_after;
+  constexpr NodeId kBlock = DgapStore::kTouchBlockVertices;
+  const DgapStore& store = *newer.store_;
 
-  auto emit_vertex = [&](NodeId v, std::uint32_t d_old) {
-    ++d.scanned_vertices;
-    const std::uint32_t d_new = newer.degree_[static_cast<std::size_t>(v)];
-    if (d_new <= d_old) return;
-    d.changed.push_back(v);
-    d.changed_old_degree.push_back(d_old);
-    // The newer cut's slot suffix [d_old, d_new) is the event stream for
-    // this vertex, in chronological order.
-    newer.for_each_slot_from(v, d_old, [&](NodeId dst, bool tomb) {
-      if (tomb)
-        d.deleted.push_back({v, dst});
-      else
-        d.inserted.push_back({v, dst});
-    });
-  };
-
-  if (!d.used_fallback) {
-    // Pruned walk: consult the touch map once per 256-id block; blocks not
-    // stamped since the older capture cannot contain a changed vertex.
-    constexpr NodeId kBlock =
-        static_cast<NodeId>(DgapStore::kTouchBlockVertices);
-    const DgapStore& store = *newer.store_;
-    NodeId v = 0;
-    while (v < n_old) {
-      if (!store.touched_since(v, older.seq_)) {
-        v = (v / kBlock + 1) * kBlock;
-        continue;
-      }
-      const NodeId end = std::min<NodeId>(n_old, (v / kBlock + 1) * kBlock);
-      for (; v < end; ++v)
-        emit_vertex(v, older.degree_[static_cast<std::size_t>(v)]);
+  // Each 256-id touch block fills its own runs; par:: block boundaries are
+  // fixed by (n, grain), so run k always covers ids [k*256, (k+1)*256).
+  std::vector<BlockRuns> runs(
+      static_cast<std::size_t>((n_new + kBlock - 1) / kBlock));
+  par::for_blocks(n_new, kBlock, [&](std::int64_t b, std::int64_t e) {
+    BlockRuns& out = runs[static_cast<std::size_t>(b / kBlock)];
+    // Pruned walk: a block not stamped since the older capture cannot
+    // contain a changed vertex. Vertices born after the older cut have no
+    // baseline degree: their whole slot list is the delta.
+    const NodeId old_end = std::min<NodeId>(e, n_old);
+    const NodeId from =
+        b < old_end && !d.used_fallback && !store.touched_since(b, older.seq_)
+            ? old_end
+            : b;
+    const auto d_old = [&](NodeId v) {
+      return v < n_old ? older.degree_[static_cast<std::size_t>(v)] : 0u;
+    };
+    const auto d_new = [&](NodeId v) {
+      return newer.degree_[static_cast<std::size_t>(v)];
+    };
+    // Size the runs from the frozen degree columns (DRAM) before the walk
+    // reads the store, so they never regrow.
+    std::size_t changed = 0;
+    std::size_t events = 0;
+    for (NodeId v = from; v < e; ++v) {
+      if (d_new(v) <= d_old(v)) continue;
+      ++changed;
+      events += d_new(v) - d_old(v);
     }
-  } else {
-    for (NodeId v = 0; v < n_old; ++v)
-      emit_vertex(v, older.degree_[static_cast<std::size_t>(v)]);
+    out.changed.reserve(changed);
+    out.old_degree.reserve(changed);
+    out.inserted.reserve(events);
+    out.scanned = static_cast<std::uint64_t>(e - from);
+    for (NodeId v = from; v < e; ++v) {
+      if (d_new(v) <= d_old(v)) continue;
+      out.changed.push_back(v);
+      out.old_degree.push_back(d_old(v));
+      // The newer cut's slot suffix [d_old, d_new) is the event stream for
+      // this vertex, in chronological order.
+      std::uint32_t at = d_old(v);
+      newer.for_each_slot_from(v, at, [&](NodeId dst, bool tomb) {
+        (tomb ? out.deleted : out.inserted).push_back({v, dst, at++});
+      });
+    }
+  });
+
+  // Join the runs in block order.
+  std::size_t changed = 0;
+  std::size_t inserted = 0;
+  std::size_t deleted = 0;
+  for (const BlockRuns& r : runs) {
+    changed += r.changed.size();
+    inserted += r.inserted.size();
+    deleted += r.deleted.size();
+    d.scanned_vertices += r.scanned;
   }
-  // Vertices born after the older cut have no baseline degree: their whole
-  // slot list is the delta.
-  for (NodeId v = n_old; v < n_new; ++v) emit_vertex(v, 0);
+  d.changed.reserve(changed);
+  d.changed_old_degree.reserve(changed);
+  d.inserted.reserve(inserted);
+  d.deleted.reserve(deleted);
+  for (const BlockRuns& r : runs) {
+    d.changed.insert(d.changed.end(), r.changed.begin(), r.changed.end());
+    d.changed_old_degree.insert(d.changed_old_degree.end(),
+                                r.old_degree.begin(), r.old_degree.end());
+    d.inserted.insert(d.inserted.end(), r.inserted.begin(), r.inserted.end());
+    d.deleted.insert(d.deleted.end(), r.deleted.begin(), r.deleted.end());
+  }
   return d;
 }
 

@@ -6,7 +6,10 @@
 // ops (rebalances splice runs chronologically, resizes copy them), so a
 // vertex's frozen degree is monotone non-decreasing between cuts and the
 // newer cut's slots [d_old, d_new) ARE exactly the events that happened in
-// between — an edge slot is an insert, a tombstone slot is a delete.
+// between — an edge slot is an insert, a tombstone slot is a delete. Each
+// event carries its slot ordinal `at`, so a consumer can replay a vertex's
+// inserts and deletes in their true interleaving (DeltaMirror::apply does,
+// which is what lets it advance without re-reading the cut).
 //
 // Finding the changed vertices without an O(V) degree compare uses the
 // store's touch map (dgap_store.hpp): writers stamp the current capture
@@ -17,6 +20,11 @@
 // for, and never worse than the full scan. Block granularity and the
 // process-global sequence only ever yield false positives (a candidate
 // block whose vertices turn out unchanged) — never a missed change.
+//
+// The walk is parallel on par::: participants claim 256-id touch blocks,
+// each block fills its own output runs, and the runs are joined in block
+// order — so the delta (scanned_vertices included) is identical to a
+// serial walk at every kernel width.
 //
 // Fallback: if a whole-array resize retired the older cut's layout between
 // the two captures (layout_epoch differs), the pruned walk is abandoned for
@@ -35,16 +43,21 @@ namespace dgap::core {
 
 class Snapshot;
 
+// One event between the cuts. `at` is its slot ordinal in src's
+// chronological slot sequence (in [old degree, new degree) of src).
 struct DeltaEdge {
   NodeId src;
   NodeId dst;
+  std::uint32_t at;
+
+  friend bool operator==(const DeltaEdge&, const DeltaEdge&) = default;
 };
 
 // The diff between an older and a newer cut of one store. `changed` is
 // sorted ascending and parallel to `changed_old_degree` (the vertex's slot
 // count at the OLDER cut — incremental kernels use 0 to detect a formerly
 // dangling vertex). Inserted/deleted edges are grouped by source in
-// `changed` order, chronological within a source.
+// `changed` order, chronological (ascending `at`) within a source.
 struct SnapshotDelta {
   std::vector<NodeId> changed;
   std::vector<std::uint32_t> changed_old_degree;

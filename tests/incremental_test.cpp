@@ -1,13 +1,15 @@
 // Incremental analytics between snapshot epochs (snapshot_delta.hpp +
 // src/algorithms/incremental): the diff must reproduce the exact mutation
-// script applied between two cuts (inserts AND deletes), the delta-seeded
-// kernels must track the from-scratch kernels under randomized mutation
-// rounds (CC labels exactly, PR within the published tolerance bound) at
-// kernel widths 1, 2 and 4 — including delete rounds inside an RMAT giant
-// component and one-direction deletes —
-// a layout retirement must flip to the O(V) fallback with identical output,
-// and the windowed structural gate must keep out-of-window snapshot reads
-// flowing mid-rebalance.
+// script applied between two cuts (inserts AND deletes, with their slot
+// ordinals) identically at kernel widths 1, 2 and 4; the DRAM mirror must
+// match each cut neighbor for neighbor, in order, and reject ids it cannot
+// hold; the delta-seeded kernels must track the from-scratch kernels under
+// randomized mutation rounds (CC labels exactly, PR within the published
+// tolerance bound) at kernel widths 1, 2 and 4 — including delete rounds
+// inside an RMAT giant component and one-direction deletes — a layout
+// retirement must flip to the O(V) fallback with identical output, and the
+// windowed structural gate must keep out-of-window snapshot reads flowing
+// mid-rebalance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -49,21 +52,20 @@ DgapOptions small_opts() {
 
 // Chronological per-source record of every mutation applied through it.
 // Each op — insert or delete — appends exactly one slot to its source, so
-// the expected delta IS the script: per-source insert/delete dst lists in
-// application order, changed = sources with at least one op.
+// the expected delta IS the script: per-source insert/delete (dst, slot
+// ordinal) lists in application order, changed = sources with at least
+// one op.
 class ScriptedMutator {
  public:
   explicit ScriptedMutator(DgapStore& s) : store_(s) {}
 
   void insert(NodeId src, NodeId dst) {
     store_.insert_edge(src, dst);
-    ins_[src].push_back(dst);
-    slots_[src]++;
+    ins_[src].push_back({dst, slots_[src]++});
   }
   void remove(NodeId src, NodeId dst) {
     store_.delete_edge(src, dst);
-    del_[src].push_back(dst);
-    slots_[src]++;
+    del_[src].push_back({dst, slots_[src]++});
   }
   // Forget the script so far (degrees keep accumulating): call at a cut so
   // the next expect() covers only the ops after it.
@@ -79,7 +81,7 @@ class ScriptedMutator {
     for (const auto& [src, v] : del_) changed.insert(src);
     ASSERT_EQ(d.changed.size(), changed.size());
     std::size_t i = 0;
-    std::map<NodeId, std::vector<NodeId>> got_ins, got_del;
+    std::map<NodeId, std::vector<Event>> got_ins, got_del;
     std::size_t ii = 0, di = 0;
     for (const NodeId src : changed) {
       EXPECT_EQ(d.changed[i], src);  // sorted ascending
@@ -89,10 +91,10 @@ class ScriptedMutator {
           << "vertex " << src;
       ++i;
       // inserted/deleted are grouped by source in changed order.
-      while (ii < d.inserted.size() && d.inserted[ii].src == src)
-        got_ins[src].push_back(d.inserted[ii++].dst);
-      while (di < d.deleted.size() && d.deleted[di].src == src)
-        got_del[src].push_back(d.deleted[di++].dst);
+      for (; ii < d.inserted.size() && d.inserted[ii].src == src; ++ii)
+        got_ins[src].push_back({d.inserted[ii].dst, d.inserted[ii].at});
+      for (; di < d.deleted.size() && d.deleted[di].src == src; ++di)
+        got_del[src].push_back({d.deleted[di].dst, d.deleted[di].at});
     }
     EXPECT_EQ(ii, d.inserted.size());
     EXPECT_EQ(di, d.deleted.size());
@@ -101,10 +103,11 @@ class ScriptedMutator {
   }
 
  private:
+  using Event = std::pair<NodeId, std::uint32_t>;  // (dst, slot ordinal)
   DgapStore& store_;
   std::map<NodeId, std::uint32_t> slots_;          // lifetime slot counts
   std::map<NodeId, std::uint32_t> degree_at_cut_;  // frozen at last cut()
-  std::map<NodeId, std::vector<NodeId>> ins_, del_;
+  std::map<NodeId, std::vector<Event>> ins_, del_;
 };
 
 TEST(SnapshotDelta, MatchesMutationScriptExactly) {
@@ -203,6 +206,110 @@ TEST(SnapshotDelta, LayoutRetirementFallsBackWithIdenticalOutput) {
   m.expect(d);
 }
 
+// The diff walks 256-id touch blocks in parallel and joins the per-block
+// runs in block order, so every field — `at` ordinals and the pruning
+// counter included — must equal the single-threaded walk at every width.
+void expect_delta_width_invariant(const Snapshot& older,
+                                  const Snapshot& newer) {
+  SnapshotDelta want;
+  {
+    const par::ScopedKernelThreads threads(1);
+    want = snapshot_delta(older, newer);
+  }
+  ASSERT_FALSE(want.changed.empty());
+  ASSERT_FALSE(want.deleted.empty());
+  for (const int width : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const par::ScopedKernelThreads threads(width);
+    const SnapshotDelta got = snapshot_delta(older, newer);
+    EXPECT_EQ(got.changed, want.changed);
+    EXPECT_EQ(got.changed_old_degree, want.changed_old_degree);
+    EXPECT_EQ(got.inserted, want.inserted);
+    EXPECT_EQ(got.deleted, want.deleted);
+    EXPECT_EQ(got.scanned_vertices, want.scanned_vertices);
+    EXPECT_EQ(got.used_fallback, want.used_fallback);
+  }
+}
+
+TEST(SnapshotDelta, PrunedWalkIsWidthInvariant) {
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = 2048;  // 8 touch blocks
+  opts.init_edges = 1 << 15;
+  auto store = DgapStore::create(*pool, opts);
+  ScriptedMutator m(*store);
+  std::mt19937 rng(51);
+  for (int i = 0; i < 6000; ++i) m.insert(rng() % 2048, rng() % 2048);
+  const Snapshot older = store->consistent_view();
+  m.cut();
+  // Touch blocks 0, 4 and 5 only; the rest must stay pruned.
+  for (int i = 0; i < 600; ++i) {
+    const NodeId src = (i % 3 == 0 ? 0 : 1024) + rng() % 256 +
+                       (i % 3 == 2 ? 256 : 0);
+    if (i % 4 == 0)
+      m.remove(src, rng() % 2048);
+    else
+      m.insert(src, rng() % 2048);
+  }
+  const Snapshot newer = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(older, newer);
+  EXPECT_FALSE(d.used_fallback);
+  EXPECT_EQ(d.scanned_vertices, 3u * 256u);
+  m.expect(d);
+  expect_delta_width_invariant(older, newer);
+}
+
+TEST(SnapshotDelta, FallbackScanIsWidthInvariant) {
+  auto pool = make_pool(64);
+  auto store = DgapStore::create(*pool, small_opts());
+  ScriptedMutator m(*store);
+  std::mt19937 rng(53);
+  for (int i = 0; i < 200; ++i) m.insert(rng() % 64, rng() % 64);
+  const Snapshot older = store->consistent_view();
+  m.cut();
+  for (int i = 0; i < 40; ++i) m.remove(rng() % 64, rng() % 64);
+  const std::uint64_t resizes_before = store->stats().resizes;
+  const auto flood = generate_uniform(1024, 20000, 57);
+  for (const Edge& e : flood.edges()) m.insert(e.src, e.dst);
+  ASSERT_GT(store->stats().resizes, resizes_before);
+  const Snapshot newer = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(older, newer);
+  EXPECT_TRUE(d.used_fallback);
+  m.expect(d);
+  expect_delta_width_invariant(older, newer);
+}
+
+// Vertex growth that ends inside a partial touch block: the block
+// [256, 512) holds both old ids (up to nodes_before = 300) and new ones.
+TEST(SnapshotDelta, GrowthInsidePartialBlockIsWidthInvariant) {
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = 300;
+  opts.init_edges = 1 << 14;
+  auto store = DgapStore::create(*pool, opts);
+  ScriptedMutator m(*store);
+  std::mt19937 rng(59);
+  for (int i = 0; i < 2000; ++i) m.insert(rng() % 300, rng() % 300);
+  const Snapshot older = store->consistent_view();
+  ASSERT_EQ(older.num_nodes(), 300);
+  m.cut();
+  for (int i = 0; i < 200; ++i) {
+    m.insert(256 + rng() % 44, 300 + rng() % 120);  // old ids, partial block
+    m.insert(300 + rng() % 120, rng() % 420);       // new ids, same block
+    if (i % 5 == 0) m.remove(256 + rng() % 44, rng() % 300);
+  }
+  const Snapshot newer = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(older, newer);
+  EXPECT_FALSE(d.used_fallback);
+  ASSERT_GT(d.nodes_after, d.nodes_before);
+  ASSERT_LT(d.nodes_after, 512);
+  // Block 0 stays pruned; block 1 is scanned whole: 44 old + the new ids.
+  EXPECT_EQ(d.scanned_vertices,
+            static_cast<std::uint64_t>(d.nodes_after - 256));
+  m.expect(d);
+  expect_delta_width_invariant(older, newer);
+}
+
 // The delta-maintained DRAM mirror (the structure the incremental kernels
 // sweep) must stay observably identical to each cut through the nasty
 // cancellation interleavings: same-round insert+delete of one edge, a
@@ -224,12 +331,10 @@ void mirror_survives_interleaved_mutations() {
     ASSERT_EQ(m.num_nodes(), cut.num_nodes());
     for (NodeId v = 0; v < cut.num_nodes(); ++v) {
       EXPECT_EQ(m.out_degree(v), cut.out_degree(v)) << "v " << v;
+      // In order: PageRank's sums follow adjacency order.
       std::vector<NodeId> got;
       m.for_each_out(v, [&](NodeId d) { got.push_back(d); });
-      std::vector<NodeId> want = cut.neighbors(v);
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want) << "v " << v;
+      EXPECT_EQ(got, cut.neighbors(v)) << "v " << v;
     }
   };
 
@@ -257,7 +362,7 @@ void mirror_survives_interleaved_mutations() {
   mirror.apply(snapshot_delta(c1, c2), c2);
   expect_identical(mirror, c2);
   EXPECT_EQ(mirror.full_rebuilds(), 0u);
-  EXPECT_EQ(mirror.rebuilt_vertices(), 3u);  // insert-only: appends
+  EXPECT_EQ(mirror.rebuilt_vertices(), 3u);  // insert-only: appends only
   std::vector<NodeId> five;
   mirror.for_each_out(5, [&](NodeId d) { five.push_back(d); });
   EXPECT_EQ(five, std::vector<NodeId>{9});
@@ -280,6 +385,96 @@ TEST(DeltaMirror, StaysIdenticalThroughInterleavedMutations) {
     const par::ScopedKernelThreads threads(width);
     mirror_survives_interleaved_mutations();
   }
+}
+
+// One vertex, one round, every cancellation hazard in sequence: a dangling
+// tombstone, a duplicate insert trimmed by one delete, and an insert that
+// dies and is born again. Only replaying the events in slot order (the
+// `at` merge) gets the survivors AND their order right; applying all
+// inserts before all deletes would leave {1, 2, 7} here.
+void mirror_replays_one_vertex_in_slot_order() {
+  auto pool = make_pool(32);
+  auto store = DgapStore::create(*pool, small_opts());
+  constexpr NodeId kV = 4, kA = 6, kB = 7;
+  store->insert_edge(kV, 1);  // survivors from the older cut
+  store->insert_edge(kV, 2);
+  const Snapshot older = store->consistent_view();
+  auto mirror = algorithms::DeltaMirror::build(older);
+
+  store->delete_edge(kV, kA);  // dangling: cancels nothing
+  store->insert_edge(kV, kA);
+  store->insert_edge(kV, kA);
+  store->delete_edge(kV, kA);  // cancels the second (kV, kA)
+  store->insert_edge(kV, kB);
+  store->delete_edge(kV, kB);
+  store->insert_edge(kV, kB);
+  const Snapshot newer = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(older, newer);
+  ASSERT_EQ(d.changed, std::vector<NodeId>{kV});
+  mirror.apply(d, newer);
+
+  const std::vector<NodeId> want{1, 2, kA, kB};
+  ASSERT_EQ(newer.neighbors(kV), want);
+  std::vector<NodeId> got;
+  mirror.for_each_out(kV, [&](NodeId x) { got.push_back(x); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(mirror.out_degree(kV), newer.out_degree(kV));
+  EXPECT_EQ(mirror.num_edges_directed(), newer.num_edges_directed());
+  EXPECT_EQ(mirror.rebuilt_vertices(), 1u);
+}
+
+TEST(DeltaMirror, ReplaysOneVertexRoundInSlotOrder) {
+  for (const int width : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const par::ScopedKernelThreads threads(width);
+    mirror_replays_one_vertex_in_slot_order();
+  }
+}
+
+// A GraphView whose vertex 0 points at `dst`: stands in for a view with an
+// id the 32-bit mirror cannot hold.
+struct OneEdgeView {
+  NodeId nodes = 2;
+  NodeId dst = 1;
+  [[nodiscard]] NodeId num_nodes() const { return nodes; }
+  [[nodiscard]] std::int64_t out_degree(NodeId v) const { return v == 0; }
+  template <typename F>
+  void for_each_out(NodeId v, F&& fn) const {
+    if (v == 0) fn(dst);
+  }
+};
+
+TEST(DeltaMirror, RejectsIdsAboveEncodingLimitInsteadOfTruncating) {
+  // The largest legal id round-trips unchanged.
+  const auto edge = algorithms::DeltaMirror::build(
+      OneEdgeView{.dst = kMaxVertexId});
+  std::vector<NodeId> got;
+  edge.for_each_out(0, [&](NodeId x) { got.push_back(x); });
+  EXPECT_EQ(got, std::vector<NodeId>{kMaxVertexId});
+
+  EXPECT_THROW((void)algorithms::DeltaMirror::build(
+                   OneEdgeView{.dst = kMaxVertexId + 1}),
+               std::out_of_range);
+  // Checked before anything is allocated.
+  EXPECT_THROW((void)algorithms::DeltaMirror::build(
+                   OneEdgeView{.nodes = kMaxVertexId + 2}),
+               std::out_of_range);
+
+  // apply() validates the whole delta before it edits anything.
+  const OneEdgeView base{};
+  auto mirror = algorithms::DeltaMirror::build(base);
+  SnapshotDelta d;
+  d.nodes_before = d.nodes_after = 2;
+  d.changed = {1};
+  d.changed_old_degree = {0};
+  d.inserted = {{1, 0, 0}, {1, kMaxVertexId + 1, 1}};
+  EXPECT_THROW(mirror.apply(d, base), std::out_of_range);
+  d.inserted.clear();
+  d.nodes_after = kMaxVertexId + 2;
+  EXPECT_THROW(mirror.apply(d, base), std::out_of_range);
+  EXPECT_EQ(mirror.num_nodes(), 2);
+  EXPECT_EQ(mirror.out_degree(1), 0);
+  mirror.for_each_out(1, [](NodeId) { ADD_FAILURE() << "mirror edited"; });
 }
 
 // Randomized mutation rounds: the delta-seeded kernels must track the
@@ -340,7 +535,7 @@ void track_full_kernels_under_randomized_rounds() {
     const SnapshotDelta delta = snapshot_delta(prev, cut);
     EXPECT_FALSE(delta.empty());
 
-    // Exactly the sources with a delete event are re-read from the cut.
+    // Exactly the sources with a delete event are edited in place.
     std::set<NodeId> deleted_srcs;
     for (const DeltaEdge& e : delta.deleted) deleted_srcs.insert(e.src);
     const std::uint64_t rebuilt_before = mirror.rebuilt_vertices();
@@ -355,10 +550,7 @@ void track_full_kernels_under_randomized_rounds() {
           << "round " << round << " v " << v;
       std::vector<NodeId> got;
       mirror.for_each_out(v, [&](NodeId d) { got.push_back(d); });
-      std::vector<NodeId> want = cut.neighbors(v);
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want) << "round " << round << " v " << v;
+      EXPECT_EQ(got, cut.neighbors(v)) << "round " << round << " v " << v;
     }
 
     auto ipr_res =
@@ -389,8 +581,8 @@ void track_full_kernels_under_randomized_rounds() {
   }
 }
 
-// The mirror's apply and the CC relink both run on par::, so the whole
-// randomized sequence is repeated at kernel widths 1, 2 and 4.
+// The mirror's apply and the scoped CC recompute both run on par::, so the
+// whole randomized sequence is repeated at kernel widths 1, 2 and 4.
 TEST(IncrementalKernels, TrackFullKernelsUnderRandomizedRounds) {
   for (const int width : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "width " << width);
@@ -494,9 +686,9 @@ TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {
 }
 
 // Delete rounds inside the giant component of an RMAT graph: the scoped
-// relink then covers most of the graph, so the parallel CAS linking runs
-// with real contention. Every round must reproduce connected_components on
-// the same cut exactly, at kernel widths 1, 2 and 4.
+// Shiloach-Vishkin loop then covers most of the graph, so its racy
+// parallel hooks run with real contention. Every round must reproduce
+// connected_components on the same cut exactly, at kernel widths 1, 2, 4.
 TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
   constexpr NodeId kVertices = 4096;
   auto pool = make_pool(64);
@@ -557,7 +749,7 @@ TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
 }
 
 // A delete may absorb only one direction of a symmetric pair. Full SV still
-// hooks the surviving direction, so the incremental relink must too — in
+// hooks the surviving direction, so the incremental recompute must too — in
 // both orientations (surviving edge from the higher id and from the lower).
 TEST(IncrementalKernels, OneDirectionDeleteKeepsComponentJoined) {
   for (const bool drop_low_to_high : {true, false}) {
