@@ -5,9 +5,9 @@
 // of BAL / LLAMA / XPGraph on these whole-graph kernels, and usually ahead
 // of GraphOne-FD despite GraphOne analyzing from DRAM, because the mutable
 // CSR keeps cache locality that an adjacency list lacks.
-// --csr-cache adds the SnapshotCsrCache section: PR and CC run over ONE
-// snapshot twice — raw, and through the cached CSR materialization of the
-// same cut — with results verified identical and the second-kernel speedup
+// --dram-view adds the DRAM-view section: PR and CC run over ONE snapshot
+// twice — raw, and over the DeltaMirror built from the same cut — with
+// results verified identical and the view's build time and speedup
 // reported.
 // --dram-cache=MB adds the DRAM hot-tier section: PR and CC run cache-off
 // vs cache-on under a read-charged media model (--pm-read-ns per line),
@@ -111,10 +111,10 @@ int run(const Cli& cli, BenchConfig& cfg) {
     table.print(std::cout);
   }
 
-  // --- SnapshotCsrCache (--csr-cache): kernels over one cut ----------------
-  if (cfg.csr_cache &&
+  // --- DRAM view (--dram-view): kernels over one cut ------------------------
+  if (cfg.dram_view &&
       (cfg.only_system.empty() || cfg.only_system == "dgap")) {
-    const bool ok = print_csr_cache_section(
+    const bool ok = print_dram_view_section(
         cfg, "PR", "CC",
         [&](const std::string& name) -> const EdgeStream& {
           return streams.at(name);
@@ -125,8 +125,8 @@ int run(const Cli& cli, BenchConfig& cfg) {
         },
         std::cout);
     if (!ok) {
-      std::cerr << "csr-cache: kernel results diverge from the uncached "
-                   "path\n";
+      std::cerr << "dram-view: kernel results diverge from the raw "
+                   "snapshot\n";
       return 1;
     }
   }

@@ -5,9 +5,9 @@
 // and XPGraph *win* BFS (adjacency lists in DRAM fit its random vertex
 // access), DGAP stays within ~1.1-1.4x of CSR and far ahead of LLAMA; for
 // the heavier BC, DGAP catches back up to the DRAM-based systems.
-// --csr-cache adds the SnapshotCsrCache section: BFS and BC run over ONE
-// snapshot twice (raw, and through the cached CSR materialization of the
-// same cut), results verified identical, second-kernel speedup reported.
+// --dram-view adds the DRAM-view section: BFS and BC run over ONE snapshot
+// twice (raw, and over the DeltaMirror built from the same cut), results
+// verified identical, view build time and speedup reported.
 // --dram-cache=MB adds the DRAM hot-tier section: BFS and BC cache-off vs
 // cache-on under a read-charged media model, hit rate and gap-closed
 // reported, cache-on results verified identical.
@@ -73,16 +73,16 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  // --- SnapshotCsrCache (--csr-cache): kernels over one cut ----------------
-  if (cfg.csr_cache &&
+  // --- DRAM view (--dram-view): kernels over one cut ------------------------
+  if (cfg.dram_view &&
       (cfg.only_system.empty() || cfg.only_system == "dgap")) {
-    std::map<std::string, EdgeStream> csr_streams;  // loaded on demand
-    const bool ok = print_csr_cache_section(
+    std::map<std::string, EdgeStream> view_streams;  // loaded on demand
+    const bool ok = print_dram_view_section(
         cfg, "BFS", "BC",
         [&](const std::string& name) -> const EdgeStream& {
-          auto it = csr_streams.find(name);
-          if (it == csr_streams.end())
-            it = csr_streams.emplace(name, load_dataset(name, cfg.scale))
+          auto it = view_streams.find(name);
+          if (it == view_streams.end())
+            it = view_streams.emplace(name, load_dataset(name, cfg.scale))
                      .first;
           return it->second;
         },
@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
         },
         std::cout);
     if (!ok) {
-      std::cerr << "csr-cache: kernel results diverge from the uncached "
-                   "path\n";
+      std::cerr << "dram-view: kernel results diverge from the raw "
+                   "snapshot\n";
       return 1;
     }
   }

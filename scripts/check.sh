@@ -34,14 +34,20 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
   --async-writers 2 --autotune --ingest-profile ingest-heavy
 
 # Smoke-run the snapshot-subsystem bench modes: analysis concurrent with
-# async ingest (--live-ingest) and the CSR materialization cache
-# (--csr-cache, which also verifies cached kernels match uncached exactly).
+# async ingest (--live-ingest) and the DRAM view of one cut (--dram-view:
+# kernels over DeltaMirror::build(snap) must match the raw snapshot
+# exactly; the binaries exit non-zero on divergence, and the section must
+# print its "identical yes" row).
 ./build/fig7_pr_cc --live-ingest --live-producers=2 --datasets=orkut \
   --scale=0.02 --system=dgap --pool-mb=256
-./build/fig7_pr_cc --csr-cache --datasets=orkut --scale=0.02 \
-  --system=dgap --pool-mb=256
-./build/fig8_bfs_bc --csr-cache --datasets=orkut --scale=0.02 \
-  --system=dgap --pool-mb=256
+for bench in fig7_pr_cc fig8_bfs_bc; do
+  OUT=$(./build/$bench --dram-view --datasets=orkut --scale=0.02 \
+    --system=dgap --pool-mb=256)
+  grep -Eq "^orkut .* yes +$" <<<"$OUT" || {
+    echo "check.sh: $bench --dram-view printed no identical row" >&2
+    exit 1
+  }
+done
 
 # Smoke-run incremental analytics: delta-seeded PR/CC rounds racing live
 # ingest (the section verifies every round — CC labels exactly equal to the

@@ -87,7 +87,7 @@ BenchConfig parse_common(const Cli& cli, double default_scale,
   if (cli.has("pm-read-ns"))
     cfg.pm_read_ns = static_cast<std::uint64_t>(parse_positive_int_capped(
         cli.get("pm-read-ns", ""), "--pm-read-ns", 1000000));
-  cfg.csr_cache = cli.get_bool("csr-cache", false);
+  cfg.dram_view = cli.get_bool("dram-view", false);
   cfg.live_ingest = cli.get_bool("live-ingest", false);
   if (cli.has("live-producers"))
     cfg.live_producers = static_cast<int>(parse_positive_int_capped(
@@ -595,7 +595,7 @@ void print_banner(const std::string& title, const BenchConfig& cfg) {
   if (cfg.tuning.dram_cache_mb != 0)
     std::cout << " dram-cache=" << cfg.tuning.dram_cache_mb << "MB";
   if (cfg.tuning.cold_tier) std::cout << " cold-tier=on";
-  if (cfg.csr_cache) std::cout << " csr-cache=on";
+  if (cfg.dram_view) std::cout << " dram-view=on";
   if (cfg.live_ingest)
     std::cout << " live-ingest=on live-producers=" << cfg.live_producers;
   if (cfg.incremental) std::cout << " incremental=on";

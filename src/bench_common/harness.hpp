@@ -11,9 +11,11 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/algorithms/graph_view.hpp"
+#include "src/algorithms/incremental/delta_mirror.hpp"
 #include "src/baselines/pmem_csr.hpp"
 #include "src/common/cli.hpp"
 #include "src/common/table.hpp"
@@ -68,10 +70,10 @@ struct BenchConfig {
   // (ignored while autotune is on — the comparison the autotuner must win).
   bool autotune = false;
   std::size_t absorb_min = 0;
-  // --csr-cache: add the SnapshotCsrCache section (fig7/fig8) — run each
-  // kernel over the raw snapshot AND over the cached CSR materialization of
-  // the SAME cut, verify identical results, report the speedup.
-  bool csr_cache = false;
+  // --dram-view: add the DRAM-view section (fig7/fig8) — run each kernel
+  // over the raw snapshot AND over the DeltaMirror built from the SAME cut,
+  // verify identical results, report the build cost and the speedup.
+  bool dram_view = false;
   // --live-ingest: add the analysis-while-ingesting section (fig7/table4) —
   // async producers flood the store while the analysis thread snapshots and
   // runs PageRank; both sides' throughput is reported. --live-producers=N
@@ -113,9 +115,11 @@ struct BenchConfig {
 // Parse --scale, --datasets=a,b,c, --latency, --pool-mb, --system,
 // --batch=a,b,c, --async-writers=a,b,c,
 // --ingest-profile=balanced|ingest-heavy, --section-slots=N (power of
-// two), --autotune, --absorb-min=N, --csr-cache, --live-ingest,
-// --live-producers=N, --threads=N, --sched. Throws std::invalid_argument
-// on non-positive / non-numeric / unknown values.
+// two), --autotune, --absorb-min=N, --dram-cache=MB, --cold-tier,
+// --cold-file=PATH, --pm-read-ns=N, --dram-view, --live-ingest,
+// --live-producers=N, --incremental, --live-pace-ns=N, --metrics-out=FILE,
+// --metrics-interval-ms=N, --trace-out=FILE, --threads=N, --sched. Throws
+// std::invalid_argument on non-positive / non-numeric / unknown values.
 BenchConfig parse_common(const Cli& cli, double default_scale,
                          std::vector<std::string> default_datasets);
 
@@ -348,7 +352,7 @@ LiveIngestResult run_live_ingest(IStore& store, std::span<const Edge> body,
     std::ostream& os);
 
 // A DGAP store batch-loaded with a whole stream, ready for snapshot
-// analysis (the --csr-cache sections in fig7/fig8 start here).
+// analysis (the --dram-view sections in fig7/fig8 start here).
 struct LoadedDgap {
   std::unique_ptr<pmem::PmemPool> pool;
   std::unique_ptr<core::DgapStore> store;
@@ -357,50 +361,27 @@ LoadedDgap load_dgap_for_analysis(const EdgeStream& stream,
                                   std::uint64_t pool_mb,
                                   const StoreTuning& tuning = {});
 
-// --- --csr-cache section (fig7/fig8) ----------------------------------------
+// --- --dram-view section (fig7/fig8) ----------------------------------------
 
-// Time `kernel(view, source)` over the raw snapshot and over the cached
-// CSR materialization of the SAME cut; `identical` is an exact result
-// comparison (the CSR preserves degree semantics and neighbor order, so
-// kernels must match bit-for-bit).
-struct CsrCachePair {
-  double snap_seconds = 0;
-  double csr_seconds = 0;
-  bool identical = false;
-};
-
-template <typename Kernel>
-CsrCachePair time_csr_cache_pair(const core::Snapshot& snap,
-                                 core::SnapshotCsrCache& cache,
-                                 NodeId source, Kernel&& kernel) {
-  CsrCachePair p;
-  Timer t1;
-  const auto raw = kernel(snap, source);
-  p.snap_seconds = t1.seconds();
-  Timer t2;
-  const auto cached = kernel(cache.get(snap), source);
-  p.csr_seconds = t2.seconds();
-  p.identical = raw == cached;
-  return p;
-}
-
-// The full --csr-cache report shared by fig7 (PR+CC) and fig8 (BFS+BC):
-// per dataset, load DGAP, snapshot ONCE, materialize the cut (timed, the
-// single cache miss), then run kernel A and kernel B over raw-vs-cached
-// views — the B pair is the "second kernel over the same cut" the cache
-// exists for. Prints the table and returns false if any kernel pair
-// diverged (benches treat that as a hard failure).
+// The --dram-view report shared by fig7 (PR+CC) and fig8 (BFS+BC): per
+// dataset, load DGAP, snapshot ONCE, build the cut's DRAM view
+// (algorithms::DeltaMirror, timed: the copy's cost), then run kernel A and
+// kernel B over the raw snapshot and over the view. The view keeps the
+// snapshot's degree semantics and neighbor order, so results must match
+// exactly. The speedup column charges the build to the view side. Prints
+// the table and returns false if any kernel diverged (benches treat that
+// as a hard failure).
 template <typename KernelA, typename KernelB>
-bool print_csr_cache_section(
+bool print_dram_view_section(
     const BenchConfig& cfg, const char* a_label, const char* b_label,
     const std::function<const EdgeStream&(const std::string&)>& stream_for,
     KernelA&& kernel_a, KernelB&& kernel_b, std::ostream& os) {
-  os << "\n--- DGAP SnapshotCsrCache: " << a_label << " + " << b_label
+  os << "\n--- DGAP DRAM view: " << a_label << " + " << b_label
      << " over ONE snapshot (1 thread) ---\n";
   const std::string a = a_label;
   const std::string b = b_label;
-  TablePrinter table({"Graph", "build(s)", a + ".snap", a + ".csr",
-                      b + ".snap", b + ".csr", "2nd-kernel speedup",
+  TablePrinter table({"Graph", "build(s)", a + ".snap", a + ".view",
+                      b + ".snap", b + ".view", "speedup w/ build",
                       "identical"});
   const par::ScopedKernelThreads one_thread(1);
   bool all_identical = true;
@@ -410,29 +391,37 @@ bool print_csr_cache_section(
     const core::Snapshot snap = loaded.store->consistent_view();
     const NodeId source = algorithms::max_degree_vertex(snap);
     Timer tb;
-    core::SnapshotCsrCache cache;
-    (void)cache.get(snap);  // the one miss: materialize the cut
+    const auto view = algorithms::DeltaMirror::build(snap);
     const double build_s = tb.seconds();
 
-    const CsrCachePair pa = time_csr_cache_pair(snap, cache, source,
-                                                kernel_a);
-    const CsrCachePair pb = time_csr_cache_pair(snap, cache, source,
-                                                kernel_b);
-    const bool identical = pa.identical && pb.identical;
+    bool identical = true;
+    // {seconds over the snapshot, seconds over the view}
+    const auto time_both = [&](auto& kernel) {
+      Timer t1;
+      const auto raw = kernel(snap, source);
+      const double snap_s = t1.seconds();
+      Timer t2;
+      const auto viewed = kernel(view, source);
+      const double view_s = t2.seconds();
+      identical = identical && raw == viewed;
+      return std::pair{snap_s, view_s};
+    };
+    const auto [a_snap, a_view] = time_both(kernel_a);
+    const auto [b_snap, b_view] = time_both(kernel_b);
     all_identical = all_identical && identical;
     table.add_row({name, TablePrinter::fmt(build_s, 3),
-                   TablePrinter::fmt(pa.snap_seconds, 3),
-                   TablePrinter::fmt(pa.csr_seconds, 3),
-                   TablePrinter::fmt(pb.snap_seconds, 3),
-                   TablePrinter::fmt(pb.csr_seconds, 3),
-                   TablePrinter::fmt(pb.snap_seconds / pb.csr_seconds),
+                   TablePrinter::fmt(a_snap, 3), TablePrinter::fmt(a_view, 3),
+                   TablePrinter::fmt(b_snap, 3), TablePrinter::fmt(b_view, 3),
+                   TablePrinter::fmt((a_snap + b_snap) /
+                                     (build_s + a_view + b_view)),
                    identical ? "yes" : "NO (BUG)"});
     if (!identical) break;
   }
   table.print(os);
   if (all_identical)
-    os << "# csr-cache: per dataset 1 build (miss) + 3 hits; all kernel "
-          "results verified identical to the uncached path\n";
+    os << "# dram-view: per dataset 1 view build + 2 kernels over each "
+          "view; all kernel results verified identical to the raw "
+          "snapshot\n";
   return all_identical;
 }
 

@@ -2,14 +2,15 @@
 // src/algorithms/incremental): the diff must reproduce the exact mutation
 // script applied between two cuts (inserts AND deletes, with their slot
 // ordinals) identically at kernel widths 1, 2 and 4; the DRAM mirror must
-// match each cut neighbor for neighbor, in order, and reject ids it cannot
-// hold; the delta-seeded kernels must track the from-scratch kernels under
-// randomized mutation rounds (CC labels exactly, PR within the published
-// tolerance bound) at kernel widths 1, 2 and 4 — including delete rounds
-// inside an RMAT giant component and one-direction deletes — a layout
-// retirement must flip to the O(V) fallback with identical output, and the
-// windowed structural gate must keep out-of-window snapshot reads flowing
-// mid-rebalance.
+// match each cut neighbor for neighbor, in order (built or maintained,
+// through tombstones and a resize), give kernels bit-identical to the raw
+// cut, and reject ids it cannot hold; the delta-seeded kernels must track
+// the from-scratch kernels under randomized mutation rounds (CC labels
+// exactly, PR within the published tolerance bound) at kernel widths 1, 2
+// and 4 — including delete rounds inside an RMAT giant component and
+// one-direction deletes — a layout retirement must flip to the O(V)
+// fallback with identical output, and the windowed structural gate must
+// keep out-of-window snapshot reads flowing mid-rebalance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,6 +26,8 @@
 
 #include <algorithm>
 
+#include "src/algorithms/bc.hpp"
+#include "src/algorithms/bfs.hpp"
 #include "src/algorithms/cc.hpp"
 #include "src/algorithms/incremental/cc_incr.hpp"
 #include "src/algorithms/incremental/delta_mirror.hpp"
@@ -310,6 +313,86 @@ TEST(SnapshotDelta, GrowthInsidePartialBlockIsWidthInvariant) {
   expect_delta_width_invariant(older, newer);
 }
 
+// The mirror is observably identical to `cut` under GraphView: same slot
+// degrees (tombstones included) and the same surviving neighbors in the
+// same order — PageRank's sums follow adjacency order.
+void expect_identical(const algorithms::DeltaMirror& m, const Snapshot& cut) {
+  ASSERT_EQ(m.num_nodes(), cut.num_nodes());
+  ASSERT_EQ(m.num_edges_directed(), cut.num_edges_directed());
+  for (NodeId v = 0; v < cut.num_nodes(); ++v) {
+    EXPECT_EQ(m.out_degree(v), cut.out_degree(v)) << "v " << v;
+    std::vector<NodeId> got;
+    m.for_each_out(v, [&](NodeId d) { got.push_back(d); });
+    EXPECT_EQ(got, cut.neighbors(v)) << "v " << v;
+  }
+}
+
+// build() over a cut with tombstones: slot degrees keep the tombstone
+// slots, iteration yields only the survivors. A tombstone cancels the
+// latest prior insert of its destination, so vertex 2 keeps its first
+// (2,5) and its (2,6) in insertion order, and vertex 3 keeps nothing.
+TEST(DeltaMirror, BuildCancelsTombstonesLikeTheSnapshot) {
+  auto pool = make_pool(32);
+  auto store = DgapStore::create(*pool, small_opts());
+  store->insert_edge(2, 5);
+  store->insert_edge(2, 6);
+  store->insert_edge(2, 5);
+  store->delete_edge(2, 5);
+  store->insert_edge(3, 7);
+  store->delete_edge(3, 7);
+
+  const Snapshot snap = store->consistent_view();
+  const auto mirror = algorithms::DeltaMirror::build(snap);
+  EXPECT_EQ(mirror.out_degree(2), 4);  // 3 inserts + 1 tombstone
+  EXPECT_EQ(mirror.out_degree(3), 2);
+  std::vector<NodeId> two;
+  mirror.for_each_out(2, [&](NodeId d) { two.push_back(d); });
+  EXPECT_EQ(two, (std::vector<NodeId>{5, 6}));
+  mirror.for_each_out(3, [](NodeId) { ADD_FAILURE() << "3 has no edges"; });
+  expect_identical(mirror, snap);
+}
+
+// A cut taken after a resize reads the new layout; the mirror built from
+// it matches it, and a mirror built from the cut before the resize still
+// matches that older cut.
+TEST(DeltaMirror, BuildAfterResizeMatchesEachCut) {
+  auto pool = make_pool(64);
+  auto store = DgapStore::create(*pool, small_opts());
+  store->insert_edge(0, 1);
+  const Snapshot s1 = store->consistent_view();
+  const auto m1 = algorithms::DeltaMirror::build(s1);
+
+  const auto stream = generate_uniform(256, 20000, 31);
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+  ASSERT_GT(store->stats().resizes, 0u);
+  const Snapshot s2 = store->consistent_view();
+  ASSERT_GT(s2.layout_epoch(), s1.layout_epoch());
+  expect_identical(algorithms::DeltaMirror::build(s2), s2);
+  expect_identical(m1, s1);
+}
+
+// Same degree column and neighbor order => every kernel over the mirror
+// equals the kernel over the snapshot bit for bit. One kernel thread: BFS
+// parents and BC's atomic sums depend on thread timing at any larger
+// width, on either view.
+TEST(DeltaMirror, KernelsOverBuiltMirrorMatchSnapshotExactly) {
+  auto pool = make_pool(64);
+  auto store = DgapStore::create(*pool, small_opts());
+  const auto stream = symmetrize(generate_rmat(256, 4000, 5));
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+
+  const par::ScopedKernelThreads one_thread(1);
+  const Snapshot snap = store->consistent_view();
+  const auto mirror = algorithms::DeltaMirror::build(snap);
+  const NodeId source = algorithms::max_degree_vertex(snap);
+  EXPECT_EQ(algorithms::pagerank(snap), algorithms::pagerank(mirror));
+  EXPECT_EQ(algorithms::connected_components(snap),
+            algorithms::connected_components(mirror));
+  EXPECT_EQ(algorithms::bfs(snap, source), algorithms::bfs(mirror, source));
+  EXPECT_EQ(algorithms::betweenness_centrality(snap, source),
+            algorithms::betweenness_centrality(mirror, source));
+}
+
 // The delta-maintained DRAM mirror (the structure the incremental kernels
 // sweep) must stay observably identical to each cut through the nasty
 // cancellation interleavings: same-round insert+delete of one edge, a
@@ -325,18 +408,6 @@ void mirror_survives_interleaved_mutations() {
   store->insert_edge(0, 2);  // parallel duplicate
   store->insert_edge(1, 0);
   store->insert_edge(2, 3);
-
-  const auto expect_identical = [](const algorithms::DeltaMirror& m,
-                                   const Snapshot& cut) {
-    ASSERT_EQ(m.num_nodes(), cut.num_nodes());
-    for (NodeId v = 0; v < cut.num_nodes(); ++v) {
-      EXPECT_EQ(m.out_degree(v), cut.out_degree(v)) << "v " << v;
-      // In order: PageRank's sums follow adjacency order.
-      std::vector<NodeId> got;
-      m.for_each_out(v, [&](NodeId d) { got.push_back(d); });
-      EXPECT_EQ(got, cut.neighbors(v)) << "v " << v;
-    }
-  };
 
   Snapshot prev = store->consistent_view();
   auto mirror = algorithms::DeltaMirror::build(prev);
@@ -418,8 +489,7 @@ void mirror_replays_one_vertex_in_slot_order() {
   std::vector<NodeId> got;
   mirror.for_each_out(kV, [&](NodeId x) { got.push_back(x); });
   EXPECT_EQ(got, want);
-  EXPECT_EQ(mirror.out_degree(kV), newer.out_degree(kV));
-  EXPECT_EQ(mirror.num_edges_directed(), newer.num_edges_directed());
+  expect_identical(mirror, newer);
   EXPECT_EQ(mirror.rebuilt_vertices(), 1u);
 }
 
