@@ -155,7 +155,7 @@ int run(const Cli& cli, BenchConfig& cfg) {
   if (cfg.tuning.cold_tier &&
       (cfg.only_system.empty() || cfg.only_system == "dgap")) {
     const bool ok = print_cold_tier_section(
-        cfg, "PR", "CC",
+        cfg, obs, "PR", "CC",
         [&](const std::string& name) -> const EdgeStream& {
           return streams.at(name);
         },

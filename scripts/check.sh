@@ -68,9 +68,17 @@ done
 # Smoke-run the SSD cold tier under real capacity pressure: --pool-mb=2 is
 # far below the graph's footprint, so the run only completes if demotion
 # keeps residency within budget while kernels stay bit-identical (the
-# section enforces that and the binary exits non-zero on divergence).
+# section enforces that and the binary exits non-zero on divergence). The
+# metrics samples must carry the demotion counter (the section samples
+# while the tiered store lives).
+COLD_DIR=$(mktemp -d /tmp/dgap_check_cold.XXXXXX)
 ./build/fig7_pr_cc --cold-tier --datasets=orkut --scale=0.05 \
-  --system=dgap --pool-mb=2
+  --system=dgap --pool-mb=2 --metrics-out="$COLD_DIR/cold-metrics.jsonl"
+grep -q cold_demotions "$COLD_DIR/cold-metrics.jsonl" || {
+  echo "check.sh: cold-tier metrics carry no cold_demotions" >&2
+  exit 1
+}
+rm -rf "$COLD_DIR"
 # Same run without the tier must fail with the actionable capacity error,
 # not a bare bad_alloc or a crash.
 if OUT=$(./build/fig7_pr_cc --datasets=orkut --scale=0.05 --system=dgap \

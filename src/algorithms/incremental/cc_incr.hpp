@@ -32,6 +32,16 @@
 //
 // Everything outside the touched components keeps its previous label.
 //
+// Shortcut: when the hit components hold all but 1/32 of the directed
+// slots (live deletes keep landing in a giant component that holds nearly
+// the whole graph), the scoped loop hooks nearly every edge anyway and its
+// member bookkeeping only adds to that, so the kernel returns
+// connected_components(g) instead — recomputed_vertices = n, full_fallback
+// stays false (the seed was fine). The member-count pass sums the members'
+// out-degrees for that decision. Below that share the scoped loop is the
+// faster one: in an offline replay on 90k-vertex RMAT graphs it beat the
+// full kernel at every hit share up to 0.95 and tied it at 0.99.
+//
 // Requires `prev` to be the exact labeling of the delta's older cut (its
 // size must be nodes_before); anything else falls back to a full
 // recompute and reports full_fallback. Vertices born since the older cut
@@ -51,7 +61,8 @@ namespace dgap::algorithms {
 struct IncrementalCcResult {
   std::vector<NodeId> labels;
   // Vertices relabeled by the scoped delete recomputation (0 on
-  // insert-only rounds) — the work metric the bench reports.
+  // insert-only rounds, n when the shortcut runs the full kernel) — the
+  // work metric the bench reports.
   std::uint64_t recomputed_vertices = 0;
   bool full_fallback = false;
 };
@@ -72,40 +83,62 @@ IncrementalCcResult incremental_cc(const G& g,
 
   // Previous labels extended: new vertices are singleton components until
   // the hook pass below merges them along their inserted edges.
+  const auto old_label = [&](NodeId v) {
+    return v < delta.nodes_before ? prev[v] : v;
+  };
   std::vector<NodeId>& comp = r.labels;
-  comp = prev;
-  comp.resize(static_cast<std::size_t>(n));
-  for (NodeId v = delta.nodes_before; v < n; ++v) comp[v] = v;
-
   std::vector<std::uint8_t> member;  // non-empty only on delete rounds
-  if (!delta.deleted.empty()) {
+  if (delta.deleted.empty()) {
+    comp = prev;
+    comp.resize(static_cast<std::size_t>(n));
+    for (NodeId v = delta.nodes_before; v < n; ++v) comp[v] = v;
+  } else {
     // Components that lost an edge, flagged by previous label: exact
     // reconnectivity is recomputed for their members only.
     std::vector<std::uint8_t> hit(static_cast<std::size_t>(n), 0);
     for (const core::DeltaEdge& e : delta.deleted) {
-      hit[comp[e.src]] = 1;
-      if (e.dst >= 0 && e.dst < n) hit[comp[e.dst]] = 1;
+      hit[old_label(e.src)] = 1;
+      if (e.dst >= 0 && e.dst < n) hit[old_label(e.dst)] = 1;
     }
-    // Members, reset to singletons and listed in id order: per-block
-    // counts, then per-block fills at the prefix offsets.
+    // Members: per-block counts and out-degree sums, then (unless the
+    // shortcut takes over) per-block fills at the prefix offsets that list
+    // them in id order and reset them to singletons.
     constexpr std::int64_t kGrain = 4096;
     member.resize(static_cast<std::size_t>(n));
-    std::vector<std::size_t> at(static_cast<std::size_t>(
-        (n + kGrain - 1) / kGrain + 1));
+    const auto blocks = static_cast<std::size_t>((n + kGrain - 1) / kGrain);
+    std::vector<std::size_t> at(blocks + 1);
+    std::vector<std::uint64_t> slots(blocks);
     par::for_blocks(n, kGrain, [&](std::int64_t b, std::int64_t e) {
       std::size_t cnt = 0;
+      std::uint64_t deg = 0;
       for (NodeId v = b; v < e; ++v) {
-        member[v] = hit[comp[v]];
-        cnt += member[v];
+        // Branch-free: members are scattered over the id space, so a
+        // branch on membership would mispredict about every other vertex.
+        const std::uint8_t m = hit[old_label(v)];
+        member[v] = m;
+        cnt += m;
+        deg += m * static_cast<std::uint64_t>(g.out_degree(v));
       }
       at[static_cast<std::size_t>(b / kGrain) + 1] = cnt;
+      slots[static_cast<std::size_t>(b / kGrain)] = deg;
     });
+    std::uint64_t hit_slots = 0;
+    for (const std::uint64_t s : slots) hit_slots += s;
+    if (32 * hit_slots >= 31 * g.num_edges_directed()) {
+      comp = connected_components(g);
+      r.recomputed_vertices = static_cast<std::uint64_t>(n);
+      return r;
+    }
     for (std::size_t k = 1; k < at.size(); ++k) at[k] += at[k - 1];
     std::vector<NodeId> members(at.back());
+    comp.resize(static_cast<std::size_t>(n));
     par::for_blocks(n, kGrain, [&](std::int64_t b, std::int64_t e) {
       std::size_t k = at[static_cast<std::size_t>(b / kGrain)];
       for (NodeId v = b; v < e; ++v) {
-        if (member[v] == 0) continue;
+        if (member[v] == 0) {
+          comp[v] = old_label(v);
+          continue;
+        }
         comp[v] = v;
         members[k++] = v;
       }

@@ -422,6 +422,7 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
        << "s (diff=" << TablePrinter::fmt(diff_s, 4)
        << " apply=" << TablePrinter::fmt(apply_s, 4)
        << " pr=" << TablePrinter::fmt(pr_s, 4)
+       << " sweeps=" << ipr.iterations
        << " cc=" << TablePrinter::fmt(cc_s, 4) << ") speedup="
        << TablePrinter::fmt(full_s / std::max(incr_s, 1e-9))
        << (delta.used_fallback ? " diff=O(V)" : "")

@@ -143,6 +143,11 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
+  // One metrics sample now, if the session samples at all.
+  void sample() const {
+    if (sampler_) sampler_->sample_now();
+  }
+
  private:
   std::string metrics_out_;
   std::string trace_out_;
@@ -517,11 +522,13 @@ bool print_dram_cache_section(
 // post-load resident footprint — the edge array provably exceeds what pmem
 // may hold, so a real fraction of sections is served from (and promoted
 // off) the SSD backing file during the kernels. Reports the slowdown
-// factor and the tier's counters; returns false if any kernel result
-// diverges (hard failure — tiering must be semantically invisible).
+// factor and the tier's counters, and writes one `obs` metrics sample per
+// constrained store; returns false if any kernel result diverges (hard
+// failure — tiering must be semantically invisible).
 template <typename KernelA, typename KernelB>
 bool print_cold_tier_section(
-    const BenchConfig& cfg, const char* a_label, const char* b_label,
+    const BenchConfig& cfg, const ObsSession& obs, const char* a_label,
+    const char* b_label,
     const std::function<const EdgeStream&(const std::string&)>& stream_for,
     KernelA&& kernel_a, KernelB&& kernel_b, std::ostream& os) {
   os << "\n--- DGAP SSD cold tier: " << a_label << " + " << b_label
@@ -564,6 +571,10 @@ bool print_cold_tier_section(
     const auto cold_b = kernel_b(cold_view, source);
     const double cold_s = tc.seconds();
     const tier::ColdStats cs = cold.store->cold_stats();
+    // The store's cold counters are registered only while it lives, so
+    // sample them here: --metrics-out then carries them however short the
+    // run.
+    obs.sample();
     totals.demotions += cs.demotions;
     totals.promotions += cs.promotions;
     totals.cold_reads += cs.cold_reads;

@@ -4,7 +4,7 @@
 // at a fixed interval and appends one JSON object per line to a file —
 // a time series you can post-process with jq or load into a notebook.
 // Stops (and writes one final sample) on stop() or destruction, so short
-// runs still produce at least one line.
+// runs still produce at least one line; sample_now() adds one on demand.
 //
 // write_prometheus: one-shot Prometheus text-exposition dump of the
 // current registry state (counters/gauges plus quantile-labeled summary
@@ -35,6 +35,11 @@ class MetricsSampler {
   // Joins the sampling thread after emitting one final sample and flushes
   // the file. Idempotent; the destructor calls it.
   void stop();
+
+  // Writes one sample from the calling thread, now — for metrics that are
+  // registered only for a moment (a store that is destroyed before the
+  // next tick or the final sample).
+  void sample_now() { write_sample(); }
 
   std::uint64_t samples_written() const {
     return samples_.load(std::memory_order_relaxed);

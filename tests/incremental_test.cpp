@@ -7,10 +7,14 @@
 // cut, and reject ids it cannot hold; the delta-seeded kernels must track
 // the from-scratch kernels under randomized mutation rounds (CC labels
 // exactly, PR within the published tolerance bound) at kernel widths 1, 2
-// and 4 — including delete rounds inside an RMAT giant component and
-// one-direction deletes — a layout retirement must flip to the O(V)
-// fallback with identical output, and the windowed structural gate must
-// keep out-of-window snapshot reads flowing mid-rebalance.
+// and 4 — including delete rounds inside an RMAT giant component (the
+// full-kernel shortcut), inside a large component below it (scoped) and
+// one-direction deletes — PR's Jacobi-then-Chebyshev closing loop must
+// follow its documented recurrence and certify in fewer sweeps than plain
+// Jacobi on a large delta (no more on a small one), a layout retirement
+// must flip to the O(V) fallback with identical output, and the windowed
+// structural gate must keep out-of-window snapshot reads flowing
+// mid-rebalance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -550,20 +554,33 @@ TEST(DeltaMirror, RejectsIdsAboveEncodingLimitInsteadOfTruncating) {
 // Randomized mutation rounds: the delta-seeded kernels must track the
 // from-scratch kernels on every cut — CC labels bit-exact (both converge to
 // min-id component labels), PR within the triangle-inequality bound
-// 2*tolerance/(1-damping) that the bench enforces per round.
+// 2*tolerance/(1-damping) that the bench enforces per round. The rounds
+// mutate an RMAT graph (ids from kClique up, plus vertices born each round)
+// beside an untouched clique on ids [0, kClique) that holds most of the
+// directed slots, so every round's delete path stays scoped instead of
+// taking incremental_cc's full-kernel shortcut (which
+// GiantComponentDeleteRoundsMatchFullCc covers).
 void track_full_kernels_under_randomized_rounds() {
+  constexpr NodeId kClique = 128;
   auto pool = make_pool(64);
   DgapOptions opts = small_opts();
-  opts.init_vertices = 256;
-  opts.init_edges = 16384;
+  opts.init_vertices = kClique + 256;
+  opts.init_edges = 1 << 15;
   auto store = DgapStore::create(*pool, opts);
 
+  std::vector<Edge> clique;
+  for (NodeId u = 0; u < kClique; ++u)
+    for (NodeId v = 0; v < kClique; ++v)
+      if (u != v) clique.push_back({u, v});
+  store->insert_batch(clique);
+
   std::mt19937 rng(23);
-  std::vector<Edge> live;  // surviving edges, eligible for deletion
+  std::vector<Edge> live;  // surviving RMAT edges, eligible for deletion
   const auto seed_stream = symmetrize(generate_rmat(256, 3000, 5));
   for (const Edge& e : seed_stream.edges()) {
-    store->insert_edge(e.src, e.dst);
-    live.push_back(e);
+    const Edge shifted{e.src + kClique, e.dst + kClique};
+    store->insert_edge(shifted.src, shifted.dst);
+    live.push_back(shifted);
   }
 
   const algorithms::IncrementalPageRankParams ipr{};  // tol 1e-4, d 0.85
@@ -586,10 +603,10 @@ void track_full_kernels_under_randomized_rounds() {
       NodeId u, v;
       if (i % 24 == 0) {
         u = next_vertex++;
-        v = rng() % next_vertex;
+        v = kClique + rng() % (next_vertex - kClique);
       } else {
-        u = rng() % next_vertex;
-        v = rng() % next_vertex;
+        u = kClique + rng() % (next_vertex - kClique);
+        v = kClique + rng() % (next_vertex - kClique);
       }
       store->insert_edge(u, v);
       live.push_back({u, v});
@@ -717,6 +734,148 @@ TEST(IncrementalKernels, SeedlessFallbackIsBitIdenticalToFullKernel) {
   }
 }
 
+// Test-side reference of pagerank_incr.hpp's closing loop from `seed`
+// (extended for vertices born since the older cut, as the kernel does):
+// plain Jacobi sweeps to the tolerance, or with `chebyshev` the header's
+// Jacobi-then-Chebyshev recurrence, written here in its textbook form
+// (x_k copied aside before each sweep). Returns the certified sweep output
+// and the sweep count.
+struct ClosedScores {
+  std::vector<double> scores;
+  int sweeps = 0;
+};
+
+template <algorithms::GraphView G>
+ClosedScores close_from_seed(const G& g, std::vector<double> x,
+                             const algorithms::IncrementalPageRankParams& p,
+                             bool chebyshev) {
+  const double d = p.damping;
+  const double sigma = (1.0 - std::sqrt(1.0 - d * d)) / d;
+  x.resize(static_cast<std::size_t>(g.num_nodes()),
+           (1.0 - d) / static_cast<double>(g.num_nodes()));
+  std::vector<double> contrib(x.size());
+  std::vector<double> older;  // x_{k-1}
+  int k = -1;                 // Chebyshev index of x; -1 while Jacobi
+  double w = 1.0;
+  double last = 0.0;
+  for (int sweeps = 1; sweeps <= p.max_iterations; ++sweeps) {
+    std::vector<double> xk = x;
+    const double change = algorithms::pagerank_sweep(g, d, x, contrib);
+    if (change < p.tolerance) return {x, sweeps};
+    if (k < 0) {
+      if (chebyshev && last > 0.0 && change > sigma * last) k = 0;
+      last = change;
+      continue;
+    }
+    if (k++ == 0) {  // x_1 = sweep(x_0)
+      older = std::move(xk);
+      continue;
+    }
+    w = k == 2 ? 1.0 / (1.0 - d * d / 2.0) : 1.0 / (1.0 - d * d * w / 4.0);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = older[i] + w * (x[i] - older[i]);
+    older = std::move(xk);
+  }
+  ADD_FAILURE() << "no certificate within " << p.max_iterations << " sweeps";
+  return {x, p.max_iterations};
+}
+
+// Seeded on half of a symmetrized RMAT, with the other half as one delta
+// that also deletes every 10th seeded pair (the live benches delete about
+// one chunk in ten): the changed vertices' degrees exceed the frontier
+// budget, so the closing loop runs from the seed itself. It must leave
+// Jacobi for Chebyshev and certify in strictly fewer sweeps than plain
+// Jacobi from the same seed, return a sweep output (one more sweep moves
+// it by less than d * tol), follow the header's recurrence bit for bit,
+// stay within the L1 bound of the full kernel, and give identical scores
+// at kernel widths 1, 2 and 4.
+TEST(IncrementalKernels, LargeDeltaClosesWithChebyshevInFewerSweeps) {
+  constexpr NodeId kVertices = 4096;
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = kVertices;
+  opts.init_edges = 1 << 17;
+  auto store = DgapStore::create(*pool, opts);
+  const auto stream = symmetrize(generate_rmat(kVertices, 30000, 53));
+  const std::size_t half = stream.num_edges() / 2;  // even: pairs stay whole
+  store->insert_batch(stream.all().first(half));
+  const Snapshot a = store->consistent_view();
+  const algorithms::IncrementalPageRankParams ipr{};
+  const algorithms::PageRankParams full_pr{.iterations = 200,
+                                           .damping = ipr.damping,
+                                           .tolerance = ipr.tolerance};
+  const std::vector<double> seed = algorithms::pagerank(a, full_pr);
+  store->insert_batch(stream.all().subspan(half));
+  std::vector<Edge> deletes;  // every 10th seeded pair, both directions
+  for (std::size_t p = 0; p < half; p += 20)
+    deletes.insert(deletes.end(), {stream.edges()[p], stream.edges()[p + 1]});
+  store->delete_batch(deletes);
+  const Snapshot b = store->consistent_view();
+  const SnapshotDelta delta = snapshot_delta(a, b);
+
+  const ClosedScores jacobi = close_from_seed(b, seed, ipr, false);
+  const ClosedScores reference = close_from_seed(b, seed, ipr, true);
+  const std::vector<double> full = algorithms::pagerank(b, full_pr);
+  const auto n = static_cast<std::uint64_t>(b.num_nodes());
+  std::vector<double> width1;
+  for (const int width : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    const par::ScopedKernelThreads threads(width);
+    const auto r = algorithms::incremental_pagerank(b, delta, seed, ipr);
+    EXPECT_FALSE(r.full_fallback);
+    // Frontier skipped: every activation belongs to a full sweep.
+    EXPECT_EQ(r.active_vertices, n * static_cast<std::uint64_t>(r.iterations));
+    EXPECT_LT(r.iterations, jacobi.sweeps);
+    EXPECT_EQ(r.iterations, reference.sweeps);
+    EXPECT_EQ(r.scores, reference.scores);
+
+    double l1 = 0.0;
+    for (std::size_t i = 0; i < full.size(); ++i)
+      l1 += std::abs(r.scores[i] - full[i]);
+    EXPECT_LE(l1, 2.0 * ipr.tolerance / (1.0 - ipr.damping));
+    std::vector<double> again = r.scores;
+    std::vector<double> contrib(again.size());
+    EXPECT_LT(algorithms::pagerank_sweep(b, ipr.damping, again, contrib),
+              ipr.damping * ipr.tolerance);
+
+    if (width == 1) {
+      width1 = r.scores;
+    } else {
+      EXPECT_EQ(r.scores, width1);
+    }
+  }
+}
+
+// A small delta leaves the seed nearly converged: the hybrid loop must not
+// spend more sweeps than plain Jacobi would from the same seed.
+TEST(IncrementalKernels, SmallDeltaClosesInNoMoreSweepsThanJacobi) {
+  constexpr NodeId kVertices = 4096;
+  auto pool = make_pool(64);
+  DgapOptions opts = small_opts();
+  opts.init_vertices = kVertices;
+  opts.init_edges = 1 << 17;
+  auto store = DgapStore::create(*pool, opts);
+  const auto stream = symmetrize(generate_rmat(kVertices, 30000, 59));
+  const std::size_t body = stream.num_edges() - 400;  // 200 pairs held back
+  store->insert_batch(stream.all().first(body));
+  const Snapshot a = store->consistent_view();
+  const algorithms::IncrementalPageRankParams ipr{};
+  const std::vector<double> seed = algorithms::pagerank(
+      a, {.iterations = 200,
+          .damping = ipr.damping,
+          .tolerance = ipr.tolerance});
+  store->insert_batch(stream.all().subspan(body));
+  store->delete_edge(stream.edges()[0].src, stream.edges()[0].dst);
+  store->delete_edge(stream.edges()[1].src, stream.edges()[1].dst);
+  const Snapshot b = store->consistent_view();
+  const SnapshotDelta delta = snapshot_delta(a, b);
+
+  const ClosedScores jacobi = close_from_seed(b, seed, ipr, false);
+  const auto r = algorithms::incremental_pagerank(b, delta, seed, ipr);
+  EXPECT_FALSE(r.full_fallback);
+  EXPECT_LE(r.iterations, jacobi.sweeps);
+}
+
 TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {
   auto pool = make_pool(32);
   auto store = DgapStore::create(*pool, small_opts());
@@ -755,22 +914,31 @@ TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {
   EXPECT_LE(r.recomputed_vertices, 8u);
 }
 
-// Delete rounds inside the giant component of an RMAT graph: the scoped
-// Shiloach-Vishkin loop then covers most of the graph, so its racy
-// parallel hooks run with real contention. Every round must reproduce
-// connected_components on the same cut exactly, at kernel widths 1, 2, 4.
-TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
-  constexpr NodeId kVertices = 4096;
+// Delete rounds inside copy 0 of `copies` disjoint copies of one RMAT graph
+// (ids offset by the copy size): each round deletes 8 live edges of copy 0,
+// the first inside its giant component, and inserts 8 random edges into
+// it. With one copy the giant holds more than 31/32 of the directed slots,
+// so every round must take the shortcut (the full kernel, recomputed_vertices == n,
+// no fallback flag). With three it holds about a third, so every round must
+// stay scoped, and the scoped Shiloach-Vishkin loop's racy parallel hooks
+// run over thousands of members with real contention. Either way every
+// round must reproduce connected_components on the same cut exactly, at
+// kernel widths 1, 2 and 4.
+void delete_rounds_in_first_copy_match_full_cc(NodeId copies) {
+  constexpr NodeId kCopy = 4096;
+  const bool shortcut = copies == 1;
   auto pool = make_pool(64);
   DgapOptions opts = small_opts();
-  opts.init_vertices = kVertices;
-  opts.init_edges = 1 << 16;
+  opts.init_vertices = copies * kCopy;
+  opts.init_edges = static_cast<std::uint64_t>(copies) << 16;
   auto store = DgapStore::create(*pool, opts);
-  std::vector<Edge> live;
-  const auto stream = symmetrize(generate_rmat(kVertices, 12000, 41));
-  for (const Edge& e : stream.edges()) {
-    store->insert_edge(e.src, e.dst);
-    live.push_back(e);
+  std::vector<Edge> live;  // copy 0's edges, eligible for deletion
+  const auto stream = symmetrize(generate_rmat(kCopy, 12000, 41));
+  for (NodeId copy = 0; copy < copies; ++copy) {
+    for (const Edge& e : stream.edges()) {
+      store->insert_edge(e.src + copy * kCopy, e.dst + copy * kCopy);
+      if (copy == 0) live.push_back(e);
+    }
   }
 
   std::mt19937 rng(43);
@@ -782,14 +950,14 @@ TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
     for (int round = 0; round < 20; ++round) {
       SCOPED_TRACE(testing::Message()
                    << "width " << width << " round " << round);
-      // One delete inside the giant component, plus random deletes that
-      // may split off leaves, and a few inserts to re-merge.
-      std::vector<std::size_t> sizes(labels.size(), 0);
-      for (const NodeId l : labels) ++sizes[l];
+      // One delete inside copy 0's giant component, plus random deletes
+      // that may split off leaves, and a few inserts to re-merge.
+      std::vector<std::size_t> sizes(static_cast<std::size_t>(kCopy), 0);
+      for (NodeId v = 0; v < kCopy; ++v) ++sizes[labels[v]];
       const auto giant = static_cast<NodeId>(
           std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
       const std::size_t giant_size = sizes[giant];
-      ASSERT_GT(giant_size, static_cast<std::size_t>(kVertices) / 4);
+      ASSERT_GT(giant_size, static_cast<std::size_t>(kCopy) / 4);
       std::size_t k = rng() % live.size();
       while (labels[live[k].src] != giant) k = rng() % live.size();
       for (int d = 0; d < 8; ++d) {
@@ -799,8 +967,8 @@ TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
         k = rng() % live.size();
       }
       for (int i = 0; i < 8; ++i) {
-        const Edge e{static_cast<NodeId>(rng() % kVertices),
-                     static_cast<NodeId>(rng() % kVertices)};
+        const Edge e{static_cast<NodeId>(rng() % kCopy),
+                     static_cast<NodeId>(rng() % kCopy)};
         store->insert_edge(e.src, e.dst);
         live.push_back(e);
       }
@@ -810,12 +978,25 @@ TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
       mirror.apply(delta, cut);
       const auto r = algorithms::incremental_cc(mirror, delta, labels);
       ASSERT_FALSE(r.full_fallback);
-      EXPECT_GE(r.recomputed_vertices, giant_size);
+      if (shortcut) {
+        EXPECT_EQ(r.recomputed_vertices, static_cast<std::uint64_t>(kCopy));
+      } else {
+        EXPECT_GE(r.recomputed_vertices, giant_size);
+        EXPECT_LT(r.recomputed_vertices, static_cast<std::uint64_t>(kCopy));
+      }
       ASSERT_EQ(r.labels, algorithms::connected_components(cut));
       labels = r.labels;
       prev = std::move(cut);
     }
   }
+}
+
+TEST(IncrementalKernels, GiantComponentDeleteRoundsMatchFullCc) {
+  delete_rounds_in_first_copy_match_full_cc(1);
+}
+
+TEST(IncrementalKernels, LargeComponentDeleteRoundsStayScopedAndMatchFullCc) {
+  delete_rounds_in_first_copy_match_full_cc(3);
 }
 
 // A delete may absorb only one direction of a symmetric pair. Full SV still

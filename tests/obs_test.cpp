@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs): histogram bucket math and
 // percentiles against a sorted oracle, multi-threaded record/merge
 // equivalence, registry register/visit/unregister, trace-ring wraparound
-// and torn-slot skipping, sampler lifecycle, and the ScopedLatency
-// overhead guard.
+// and torn-slot skipping, sampler lifecycle (on-demand samples too), and
+// the ScopedLatency overhead guard.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -308,6 +308,28 @@ TEST(MetricsSamplerTest, FlushesOnDestruction) {
   std::string line;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
   EXPECT_EQ(line.front(), '{');
+  std::filesystem::remove(path);
+}
+
+TEST(MetricsSamplerTest, SampleNowCapturesShortLivedMetric) {
+  const std::string path = temp_path("dgap_obs_sampler_now");
+  {
+    // Long interval: only sample_now() can see the counter, which is gone
+    // again before the final sample.
+    MetricsSampler sampler(path, /*interval_ms=*/60000);
+    {
+      auto handle = registry().add_counter("sampler_test_brief",
+                                           [] { return 7.0; });
+      sampler.sample_now();
+    }
+    EXPECT_EQ(sampler.samples_written(), 1u);
+  }
+  std::ifstream in(path);
+  std::string first, last;
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, first)));
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, last)));
+  EXPECT_NE(first.find("\"sampler_test_brief\":7"), std::string::npos);
+  EXPECT_EQ(last.find("sampler_test_brief"), std::string::npos);
   std::filesystem::remove(path);
 }
 
