@@ -3,7 +3,7 @@
 
     python3 scripts/bench_record.py --base DIR --out BENCH_21.json \
         --pairs analyze=10 --pairs htap=10 --pairs ingest=5 \
-        --pairs overflow=5 --seed 9100
+        --pairs overflow=5 --traced-pairs htap=3 --seed 9100
 
 DIR is a second checkout of the commit to compare against, for example
 `git worktree add ../dgap-base HEAD~1`. For every workload the script runs N
@@ -13,6 +13,11 @@ on the same seed, alternating which side goes first. T is BENCHMARK.json's
 run_seconds. Pair i of a workload uses seed S + 100 * k + i, where k is the
 workload's position in BENCHMARK.json's workload list, so seeds never
 repeat across workloads.
+
+--traced-pairs W=N runs N more pairs of W the same way but with --trace 1,
+on seeds S + 100 * k + 50 + i, and records each side's median of every
+per-layer metric in BENCHMARK.json that the workload reports. A traced run
+reports no end-to-end metrics, so traced pairs never enter the verdicts.
 
 The record holds, per workload and per end-to-end metric in
 BENCHMARK.json: each side's median, quartiles and IQR over the pairs, the
@@ -69,10 +74,11 @@ def revision(cwd):
             "entries": entries}
 
 
-def run_one(checkout, workload, seed, seconds, names):
-    """One run.py invocation; keeps its verdict and end-to-end metrics."""
+def run_one(checkout, workload, seed, seconds, names, trace="0"):
+    """One run.py invocation; keeps its verdict and the named metrics it
+    reports (a workload reports only the per-layer metrics it exercises)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", trace]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
@@ -83,7 +89,8 @@ def run_one(checkout, workload, seed, seconds, names):
     rec = json.loads(lines[-1])
     return {"status": done.returncode, "correct": rec["correct"],
             "attempted": rec["attempted"], "failed": rec["failed"],
-            "metrics": {n: rec["metrics"][n]["value"] for n in names}}
+            "metrics": {n: rec["metrics"][n]["value"] for n in names
+                        if n in rec["metrics"]}}
 
 
 def quartiles(values):
@@ -125,12 +132,57 @@ def summarize(runs, spec):
     return out
 
 
+def layer_medians(runs, spec):
+    """Per per-layer metric reported by every run: each side's median."""
+    out = {}
+    for m in spec["per_layer"]:
+        name = m["name"]
+        if not all(name in r[side]["metrics"] for r in runs
+                   for side in ("base", "change")):
+            continue
+        out[name] = {"unit": m["unit"], "better": m["better"]}
+        for side in ("base", "change"):
+            out[name][side] = statistics.median(
+                r[side]["metrics"][name] for r in runs)
+    return out
+
+
+def parse_pairs(p, items, workloads):
+    plan = []
+    for item in items:
+        w, _, n = item.partition("=")
+        if w not in workloads or not n.isdigit() or int(n) < 1:
+            p.error(f"expected WORKLOAD=N, got {item!r}")
+        plan.append((w, int(n)))
+    return plan
+
+
+def run_pairs(base, workload, seeds, seconds, names, trace):
+    """Alternating base/change runs, one pair per seed."""
+    runs = []
+    for i, seed in enumerate(seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_one(base if side == "base" else ROOT, workload,
+                                 seed, seconds, names, trace)
+        tp = [pair[s]["metrics"].get("throughput_meps")
+              for s in ("base", "change")]
+        log(f"{workload} seed {seed} trace {trace}" +
+            ("" if None in tp else
+             f": throughput_meps base {tp[0]:.3f} change {tp[1]:.3f}"))
+        runs.append(pair)
+    return runs
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, type=Path,
                    help="checkout of the commit to compare against")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--pairs", action="append", required=True,
+    p.add_argument("--pairs", action="append", default=[],
+                   metavar="WORKLOAD=N")
+    p.add_argument("--traced-pairs", action="append", default=[],
                    metavar="WORKLOAD=N")
     p.add_argument("--seed", required=True, type=int)
     a = p.parse_args()
@@ -138,19 +190,19 @@ def main():
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     names = [m["name"] for m in spec["end_to_end"]]
-    plan = []
-    for item in a.pairs:
-        w, _, n = item.partition("=")
-        if w not in workloads or not n.isdigit() or int(n) < 1:
-            p.error(f"--pairs expects WORKLOAD=N, got {item!r}")
-        plan.append((w, int(n)))
+    layer_names = [m["name"] for m in spec["per_layer"]]
+    plan = parse_pairs(p, a.pairs, workloads)
+    traced_plan = parse_pairs(p, a.traced_pairs, workloads)
+    if not plan and not traced_plan:
+        p.error("give at least one --pairs or --traced-pairs")
     base = a.base.resolve()
     if not (base / "perfbench" / "run.py").is_file():
         p.error(f"{base} has no perfbench/run.py")
 
     record = {
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0 (--trace 1 for the "
+                   "traced pairs)",
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
         "nproc": os.cpu_count(),
@@ -161,18 +213,8 @@ def main():
     }
     for w, n in plan:
         seeds = [a.seed + 100 * workloads.index(w) + i for i in range(n)]
-        runs = []
-        for i, seed in enumerate(seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_one(base if side == "base" else ROOT, w,
-                                     seed, seconds, names)
-            log(f"{w} seed {seed}: throughput_meps base "
-                f"{pair['base']['metrics']['throughput_meps']:.3f} change "
-                f"{pair['change']['metrics']['throughput_meps']:.3f}")
-            runs.append(pair)
-        record["workloads"][w] = {
+        runs = run_pairs(base, w, seeds, seconds, names, "0")
+        record["workloads"].setdefault(w, {}).update({
             "seeds": seeds,
             "correct": {s: all(r[s]["correct"] for r in runs)
                         for s in ("base", "change")},
@@ -182,10 +224,25 @@ def main():
                           for s in ("base", "change")},
             "metrics": summarize(runs, spec),
             "runs": runs,
+        })
+        a.out.write_text(json.dumps(record, indent=1) + "\n")
+    for w, n in traced_plan:
+        seeds = [a.seed + 100 * workloads.index(w) + 50 + i
+                 for i in range(n)]
+        runs = run_pairs(base, w, seeds, seconds, layer_names, "1")
+        record["workloads"].setdefault(w, {})["traced"] = {
+            "seeds": seeds,
+            "correct": {s: all(r[s]["correct"] for r in runs)
+                        for s in ("base", "change")},
+            "per_layer": layer_medians(runs, spec),
+            "runs": runs,
         }
         a.out.write_text(json.dumps(record, indent=1) + "\n")
     for w, rec in record["workloads"].items():
-        for name, m in rec["metrics"].items():
+        for name, m in rec.get("traced", {}).get("per_layer", {}).items():
+            print(f"{w:9s} traced {name:30s} base {m['base']:10.4g} "
+                  f"change {m['change']:10.4g} {m['unit']}")
+        for name, m in rec.get("metrics", {}).items():
             print(f"{w:9s} {name:16s} base {m['base']['median']:10.4g} "
                   f"change {m['change']['median']:10.4g} "
                   f"gap {100 * m['worse_gap']:+6.1f}% "

@@ -415,6 +415,7 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
     os << "# " << name << " round " << rounds
        << ": delta=" << delta.delta_edges()
        << " changed=" << delta.changed.size()
+       << " elog_reads=" << delta.elog_reads
        << " active=" << ipr.active_vertices
        << " cc_recomputed=" << icc.recomputed_vertices
        << " full=" << TablePrinter::fmt(full_s, 4)

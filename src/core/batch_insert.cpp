@@ -198,7 +198,7 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
           const std::uint64_t absorbed_before = group_absorbed;
           // Fig 3(a) in bulk: append into the run's free tail while gaps
           // last, then flush the whole appended range with one call.
-          if (live.el_count == 0) {
+          if (live.el_chain == 0) {
             std::uint64_t pos = live.start + 1 + live.arr_count;
             const std::uint64_t run_begin = pos;
             while (k < j && pos < cap && (pos >> shift) <= last &&
@@ -253,11 +253,12 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
             const std::uint32_t eidx = sm.elog_raw;
             ElogEntry* entry = elog(home) + eidx;
             *entry = make_elog_entry(src, edges[key_idx(items[k])].dst,
-                                     tombstone, live.el_head_p1);
+                                     tombstone, chain_head_p1(live.el_chain));
             store_u32_relaxed(sm.elog_raw, eidx + 1);
             sm.elog_live += 1;
-            store_u32_relaxed(live.el_count, live.el_count + 1);
-            publish_u32(live.el_head_p1, eidx + 1);
+            // One release store moves count and head together (chain_word).
+            publish_u64(live.el_chain,
+                        chain_word(chain_count(live.el_chain) + 1, eidx + 1));
             if (tombstone) store_u8_relaxed(live.has_tombstone, 1);
             tree_->add(home, +1);
             if (!opts_.metadata_in_dram) {

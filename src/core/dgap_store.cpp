@@ -242,7 +242,7 @@ void DgapStore::build_initial_array(NodeId vertices) {
   for (std::uint64_t v = 0; v < n; ++v) {
     const std::uint64_t pos = v * capacity_ / n;
     slots_[pos] = encode_pivot(static_cast<NodeId>(v));
-    entries_[v] = VertexEntry{pos, 0, 0, 0, 0};
+    entries_[v] = VertexEntry{.start = pos};
     tree_->add(sec_of(pos), +1);
   }
   pool_.persist(slots_, capacity_ * sizeof(Slot));
@@ -423,7 +423,7 @@ void DgapStore::append_vertex_locked(NodeId v) {
     pool_.store_persist(&slots_[pos], encode_pivot(v));
     if (cache_)
       cache_->write_through(sec, pos & (seg_slots_ - 1), encode_pivot(v));
-    entries_[v] = VertexEntry{pos, 0, 0, 0, 0};
+    entries_[v] = VertexEntry{.start = pos};
     tree_->add(sec, +1);
     if (!opts_.metadata_in_dram) mirror_vertex(v);
     num_vertices_.store(static_cast<std::uint64_t>(v) + 1,
@@ -460,7 +460,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
     VertexEntry e;
     e.start = relaxed_u64(entries_[src].start);
     e.arr_count = relaxed_u32(entries_[src].arr_count);
-    e.el_count = relaxed_u32(entries_[src].el_count);
+    e.el_chain = relaxed_u64(entries_[src].el_chain);
     const std::uint64_t ss = seg_slots_;
     const std::uint64_t cap = capacity_;
     if (e.start >= cap || ss == 0) {  // torn mid-resize: retry
@@ -492,7 +492,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
     }
     const VertexEntry& live = entries_[src];
     if (live.start != e.start || seg_slots_ != ss ||
-        live.arr_count != e.arr_count || live.el_count != e.el_count) {
+        live.arr_count != e.arr_count || live.el_chain != e.el_chain) {
       for (std::uint64_t s = first; s <= last; ++s)
         sections_[s].lock.unlock();
       global_mu_.unlock_shared();
@@ -503,7 +503,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
     std::uint64_t rebalance_seg = 0;
     bool retry = false;
 
-    if (live.el_count == 0 && pos < cap && is_gap(slots_[pos])) {
+    if (live.el_chain == 0 && pos < cap && is_gap(slots_[pos])) {
       // Case (a), Fig 3(a): the slot at the end of the run is free — write
       // the edge in place with a single atomic 4-byte persist, then
       // release-publish the count for the lock-free snapshot readers.
@@ -533,12 +533,14 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
       } else {
         const std::uint32_t idx = sm.elog_raw;
         ElogEntry* entry = elog(home) + idx;
-        *entry = make_elog_entry(src, dst, tombstone, live.el_head_p1);
+        *entry = make_elog_entry(src, dst, tombstone,
+                                 chain_head_p1(live.el_chain));
         pool_.persist(entry, sizeof(ElogEntry));
         store_u32_relaxed(sm.elog_raw, idx + 1);
         sm.elog_live += 1;
-        store_u32_relaxed(entries_[src].el_count, live.el_count + 1);
-        publish_u32(entries_[src].el_head_p1, idx + 1);
+        // One release store moves count and head together (chain_word).
+        publish_u64(entries_[src].el_chain,
+                    chain_word(chain_count(live.el_chain) + 1, idx + 1));
         touch_mark(src);
         if (tombstone) store_u8_relaxed(entries_[src].has_tombstone, 1);
         tree_->add(home, +1);
@@ -557,7 +559,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
       // Ablation "No EL": perform the nearby shift the paper's motivation
       // section measures (write amplification, Fig 1a).
       bool shifted = false;
-      if (live.el_count == 0 && pos < cap) {
+      if (live.el_chain == 0 && pos < cap) {
         const std::uint64_t seg_end = (pos / ss + 1) * ss;
         std::uint64_t gap = pos;
         while (gap < seg_end && !is_gap(slots_[gap])) ++gap;
@@ -698,7 +700,7 @@ Snapshot DgapStore::consistent_view() const {
   std::uint64_t total = 0;
   for (NodeId v = 0; v < n; ++v) {
     const VertexEntry& e = entries_[v];
-    snap.degree_[v] = e.arr_count + e.el_count;
+    snap.degree_[v] = e.arr_count + chain_count(e.el_chain);
     snap.tomb_[v] = e.has_tombstone;
     total += snap.degree_[v];
   }
@@ -898,8 +900,10 @@ void DgapStore::mirror_vertex(NodeId v) {
   const VertexEntry& e = entries_[v];
   std::memcpy(p, &e.start, 8);
   std::memcpy(p + 8, &e.arr_count, 4);
-  std::memcpy(p + 12, &e.el_count, 4);
-  std::memcpy(p + 16, &e.el_head_p1, 4);
+  const std::uint32_t el_count = chain_count(e.el_chain);
+  const std::uint32_t el_head_p1 = chain_head_p1(e.el_chain);
+  std::memcpy(p + 12, &el_count, 4);
+  std::memcpy(p + 16, &el_head_p1, 4);
   pool_.persist(p, kEntryBytes);  // repeated in-place persist: the slow path
 }
 
@@ -944,7 +948,7 @@ std::uint64_t DgapStore::num_edge_slots() const {
   std::uint64_t total = 0;
   const NodeId n = num_nodes();
   for (NodeId v = 0; v < n; ++v)
-    total += entries_[v].arr_count + entries_[v].el_count;
+    total += entries_[v].arr_count + chain_count(entries_[v].el_chain);
   return total;
 }
 
@@ -1026,16 +1030,25 @@ bool DgapStore::check_invariants(std::string* why) const {
     }
   }
 
-  // Pass 3: edge-log chains.
+  // Pass 3: edge-log chains, read from the one chain word as the snapshot
+  // read path does. Every live elog entry of a section belongs to exactly
+  // one chain homed there: appends go to the home section's log, and a
+  // rebalance or resize zeroes the chain word of every run it gathers
+  // while clearing the logs of the same sections (a window is whole runs,
+  // so a run's home is inside it exactly when its log is). So the chains
+  // homed at a section hold exactly its elog_live entries.
+  std::vector<std::uint64_t> chained(num_segments_, 0);
   for (NodeId v = 0; v < n; ++v) {
-    const VertexEntry& e = entries_[v];
-    if (e.el_count == 0) {
-      if (e.el_head_p1 != 0) return fail("head pointer without entries");
+    const std::uint64_t chain = entries_[v].el_chain;
+    const std::uint32_t count = chain_count(chain);
+    if (count == 0) {
+      if (chain_head_p1(chain) != 0) return fail("head pointer without entries");
       continue;
     }
-    const std::uint64_t home = sec_of(e.start);
+    const std::uint64_t home = sec_of(entries_[v].start);
+    chained[home] += count;
     const ElogEntry* log = elog(home);
-    std::uint32_t idx_p1 = e.el_head_p1;
+    std::uint32_t idx_p1 = chain_head_p1(chain);
     std::uint32_t hops = 0;
     while (idx_p1 != 0) {
       if (idx_p1 > elog_entries_) return fail("chain index out of range");
@@ -1044,10 +1057,20 @@ bool DgapStore::check_invariants(std::string* why) const {
         return fail("chain references unused/consumed entry");
       if (elog_src(entry) != v) return fail("chain crosses vertices");
       ++hops;
-      if (hops > e.el_count) return fail("chain longer than el_count");
+      if (hops > count) return fail("chain longer than its count");
+      if (entry.prev_p1 >= idx_p1) return fail("chain link does not descend");
       idx_p1 = entry.prev_p1;
     }
-    if (hops != e.el_count) return fail("chain shorter than el_count");
+    if (hops != count) return fail("chain shorter than its count");
+  }
+  for (std::uint64_t seg = 0; seg < num_segments_; ++seg) {
+    if (chained[seg] != sections_[seg].elog_live) {
+      std::ostringstream os;
+      os << "segment " << seg << " chains hold " << chained[seg]
+         << " entries != elog_live " << sections_[seg].elog_live;
+      if (why != nullptr) *why = os.str();
+      return false;
+    }
   }
   return true;
 }

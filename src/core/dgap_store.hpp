@@ -245,18 +245,33 @@ class DgapStore {
 
  private:
   struct VertexEntry {
-    std::uint64_t start = 0;       // pivot slot
-    std::uint32_t arr_count = 0;   // edges in the array run
-    std::uint32_t el_count = 0;    // edges in the section edge log
-    std::uint32_t el_head_p1 = 0;  // newest elog entry of v, +1 (0 = none)
+    std::uint64_t start = 0;      // pivot slot
+    std::uint64_t el_chain = 0;   // edge-log chain word (chain_word below)
+    std::uint32_t arr_count = 0;  // edges in the array run
     std::uint8_t has_tombstone = 0;
   };
 
+  // A vertex's section edge-log chain as ONE word: its live entry count in
+  // the low half, its newest entry's index + 1 in the high half (0 = none).
+  // Both halves change together, so a reader that acquires the word holds a
+  // matching pair: the head's chain ordinal is exactly count - 1, and the
+  // entry `k` hops behind it has ordinal count - 1 - k.
+  static constexpr std::uint64_t chain_word(std::uint32_t count,
+                                            std::uint32_t head_p1) {
+    return (std::uint64_t{head_p1} << 32) | count;
+  }
+  static constexpr std::uint32_t chain_count(std::uint64_t w) {
+    return static_cast<std::uint32_t>(w);
+  }
+  static constexpr std::uint32_t chain_head_p1(std::uint64_t w) {
+    return static_cast<std::uint32_t>(w >> 32);
+  }
+
   // Writer->snapshot-reader publication of the two VertexEntry fields the
   // lock-free read path keys off. A writer stores the slot / elog entry
-  // FIRST, then publishes the count/head with release; the reader acquires
-  // before dereferencing, so the data it indexes is visible — on x86 both
-  // compile to plain moves, elsewhere they are the fence the old
+  // FIRST, then publishes arr_count / el_chain with release; the reader
+  // acquires before dereferencing, so the data it indexes is visible — on
+  // x86 both compile to plain moves, elsewhere they are the fence the old
   // section-lock handshake used to provide. Fields mutated only inside the
   // structural gate (splice rewrites) need no release: the gate's own
   // acquire/release chain orders them for readers (writers' unlocked probe
@@ -266,6 +281,13 @@ class DgapStore {
   }
   static std::uint32_t acquire_u32(const std::uint32_t& field) {
     return std::atomic_ref<std::uint32_t>(const_cast<std::uint32_t&>(field))
+        .load(std::memory_order_acquire);
+  }
+  static void publish_u64(std::uint64_t& field, std::uint64_t v) {
+    std::atomic_ref<std::uint64_t>(field).store(v, std::memory_order_release);
+  }
+  static std::uint64_t acquire_u64(const std::uint64_t& field) {
+    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(field))
         .load(std::memory_order_acquire);
   }
 
@@ -352,9 +374,12 @@ class DgapStore {
   // slots [from, limit) of v. read_frozen is the from == 0 case; the
   // per-vertex slot sequence is append-only across structural ops (splices
   // preserve chronological order), so a [d_old, d_new) suffix read is exact.
+  // Returns the edge-log chain entries it read: the chain walk stops at the
+  // first ordinal it emits, so a suffix read pays for the suffix plus the
+  // entries appended after the cut, never for the older prefix.
   template <typename F>
-  void read_frozen_range(NodeId v, std::uint32_t from, std::uint32_t limit,
-                         F&& emit) const;
+  std::uint32_t read_frozen_range(NodeId v, std::uint32_t from,
+                                  std::uint32_t limit, F&& emit) const;
   // Emit `count` frozen slots starting at array position `first`, section
   // piece by section piece: DRAM tier on a hit, latency-charged pmem read
   // (with opportunistic tier population) on a miss. Returns false when the
@@ -684,8 +709,8 @@ class DgapStore {
 // Correctness without section locks: while the reader gate is held no
 // structural op can move data, and plain writers only ever (a) write a
 // fresh slot then release-publish arr_count, (b) store an elog entry then
-// release-publish el_head_p1 (publish_u32/acquire_u32 above), so an
-// acquired count/head never indexes unpublished data — it can only
+// release-publish the chain word (publish_u32/publish_u64 above), so an
+// acquired count/chain never indexes unpublished data — it can only
 // UNDER-read the live state, and the frozen `limit` caps everything at
 // the snapshot's cut.
 template <typename F>
@@ -694,9 +719,11 @@ void DgapStore::read_frozen(NodeId v, std::uint32_t limit, F&& emit) const {
 }
 
 template <typename F>
-void DgapStore::read_frozen_range(NodeId v, std::uint32_t from,
-                                  std::uint32_t limit, F&& emit) const {
-  if (limit <= from) return;
+std::uint32_t DgapStore::read_frozen_range(NodeId v, std::uint32_t from,
+                                           std::uint32_t limit,
+                                           F&& emit) const {
+  if (limit <= from) return 0;
+  std::uint32_t chain_reads = 0;
   const std::size_t lane = reader_lane_enter(v);
   const VertexEntry& ent = entries_[v];
   // Acquire the published count BEFORE touching slots: pairs with the
@@ -713,42 +740,51 @@ void DgapStore::read_frozen_range(NodeId v, std::uint32_t from,
   if (DGAP_LIKELY(start + 1 + arr_take <= capacity_)) {
     if (from < arr_take)
       stopped = !emit_run_frozen(start + 1 + from, arr_take - from, emit);
-    std::uint32_t remaining = limit - arr_take;
-    const std::uint32_t head_p1 =
-        remaining > 0 && !stopped ? acquire_u32(ent.el_head_p1) : 0;
-    if (DGAP_UNLIKELY(head_p1 != 0)) {
+    // Chain ordinals [skip, take) belong to the read: `skip` elog entries
+    // precede `from`, and the cut holds limit - arr_take of them.
+    const std::uint32_t skip = from > arr_take ? from - arr_take : 0;
+    const std::uint64_t chain =
+        !stopped && limit - arr_take > skip ? acquire_u64(ent.el_chain) : 0;
+    if (DGAP_UNLIKELY(chain != 0)) {
       // Walk the back-pointer chain (newest first) into a FIFO buffer,
-      // then emit the oldest `remaining` entries in chronological order
-      // (paper §3.1.3's FIFO buffer of size rest_t(v)). The walk runs the
-      // FULL chain, not the first el_count hops: the racy entry copy can
-      // pair a stale el_count with a newer head (a concurrent append
-      // publishes count before head), and a count-bounded walk from a
-      // newer head would collect the newest entries instead of the oldest.
-      // The chain's oldest entries are immutable, so taking `remaining`
-      // from the back is exact for the frozen cut regardless of how many
-      // newer entries the head has grown. Back-pointers strictly decrease
-      // (an entry chains to an earlier index), so the walk terminates.
+      // then emit it in chronological order (paper §3.1.3's FIFO buffer of
+      // size rest_t(v)). The acquired word pairs the head with its count,
+      // so every hop knows its ordinal: entries past `take` were appended
+      // after the cut and are only stepped over, and the walk stops at
+      // ordinal `skip` — count - skip hops, not the whole chain. The
+      // chain's entries are immutable once published, so the ordinals are
+      // exact for the frozen cut however far the head has grown since.
+      // Back-pointers strictly decrease (an entry chains to an earlier
+      // index), so even a corrupt chain ends.
+      const std::uint32_t count = chain_count(chain);
+      const std::uint32_t take = std::min(limit - arr_take, count);
       const ElogEntry* log = elog(sec_of(start));
-      thread_local std::vector<Slot> chain;  // newest-first scratch
-      chain.clear();
-      std::uint32_t idx_p1 = head_p1;
-      while (idx_p1 != 0 && idx_p1 <= elog_entries_) {
+      // Newest-first scratch, taken out of the thread's spare for the
+      // walk and the emits: an emit callback may read this store again.
+      thread_local std::vector<Slot> spare;
+      std::vector<Slot> fifo = std::move(spare);
+      fifo.clear();
+      std::uint32_t idx_p1 = chain_head_p1(chain);
+      for (std::uint32_t ord = count;
+           ord > skip && idx_p1 != 0 && idx_p1 <= elog_entries_;) {
+        --ord;
         // Elog entries are never tiered into DRAM (they churn by design),
         // so each chain hop is a charged pmem read.
         pmem::latency_model().on_read(log + (idx_p1 - 1), 1);
         const ElogEntry entry = log[idx_p1 - 1];
-        chain.push_back(encode_edge(elog_dst(entry), elog_tombstone(entry)));
+        ++chain_reads;
+        if (ord < take)
+          fifo.push_back(encode_edge(elog_dst(entry), elog_tombstone(entry)));
         if (entry.prev_p1 >= idx_p1) break;  // corrupt chain: stop short
         idx_p1 = entry.prev_p1;
       }
-      if (remaining > chain.size())
-        remaining = static_cast<std::uint32_t>(chain.size());
-      const std::uint32_t skip = from > arr_take ? from - arr_take : 0;
-      for (std::uint32_t i = skip; i < remaining; ++i)
-        if (emit_stop(emit, chain[chain.size() - 1 - i])) break;
+      for (auto it = fifo.rbegin(); it != fifo.rend(); ++it)
+        if (emit_stop(emit, *it)) break;
+      spare = std::move(fifo);
     }
   }
   reader_lane_exit(lane);
+  return chain_reads;
 }
 
 // Section-piece emission with the DRAM hot tier interposed. Correctness of
@@ -844,12 +880,12 @@ void Snapshot::for_each_out(NodeId v, F&& fn) const {
 }
 
 template <typename F>
-void Snapshot::for_each_slot_from(NodeId v, std::uint32_t from,
-                                  F&& fn) const {
+std::uint32_t Snapshot::for_each_slot_from(NodeId v, std::uint32_t from,
+                                           F&& fn) const {
   check_open();
   const std::uint32_t limit = degree_[v];
-  if (limit <= from) return;
-  store_->read_frozen_range(v, from, limit, [&](Slot s) {
+  if (limit <= from) return 0;
+  return store_->read_frozen_range(v, from, limit, [&](Slot s) {
     return emit_stop(fn, edge_dst(s), edge_tombstone(s));
   });
 }

@@ -139,7 +139,7 @@ std::vector<DgapStore::GatheredRun> DgapStore::gather_runs(
     const Slot s = slots_[pos];
     if (is_pivot(s)) {
       const NodeId v = pivot_vertex(s);
-      runs.push_back({v, pos, 0, entries_[v].el_count});
+      runs.push_back({v, pos, 0, chain_count(entries_[v].el_chain)});
     } else if (is_edge(s)) {
       assert(!runs.empty());
       runs.back().arr_count += 1;
@@ -150,11 +150,12 @@ std::vector<DgapStore::GatheredRun> DgapStore::gather_runs(
 
 void DgapStore::collect_elog_slots(NodeId v, std::vector<Slot>& out) const {
   const VertexEntry& e = entries_[v];
-  if (e.el_count == 0) return;
+  const std::uint32_t count = chain_count(e.el_chain);
+  if (count == 0) return;
   const ElogEntry* log = elog(sec_of(e.start));
   std::vector<Slot> newest_first;
-  newest_first.reserve(e.el_count);
-  std::uint32_t idx_p1 = e.el_head_p1;
+  newest_first.reserve(count);
+  std::uint32_t idx_p1 = chain_head_p1(e.el_chain);
   while (idx_p1 != 0) {
     const ElogEntry& entry = log[idx_p1 - 1];
     newest_first.push_back(
@@ -412,17 +413,16 @@ void DgapStore::rebalance_window_locked(std::uint64_t begin_seg,
   // Volatile metadata: vertex entries, section logs, tree counts. The gate
   // only turns away readers whose run is inside the window, and admitted
   // out-of-window readers probe entries_[v].start atomically while being
-  // admitted — so `start` and `el_count` must be stored through an
+  // admitted — so `start` and `el_chain` must be stored through an
   // atomic_ref (a plain store would race the probe, as would
   // insert_internal's unlocked pre-validation read of both), and
-  // `arr_count` keeps the release publish the lock-free read path pairs
-  // with.
+  // `arr_count` and `el_chain` keep the release publish the lock-free read
+  // path pairs with.
   for (std::size_t i = 0; i < plan.size(); ++i) {
     VertexEntry& e = entries_[plan[i].vertex];
     store_u64_relaxed(e.start, plan[i].new_start);
     publish_u32(e.arr_count, runs[i].arr_count + runs[i].el_count);
-    store_u32_relaxed(e.el_count, 0);
-    publish_u32(e.el_head_p1, 0);
+    publish_u64(e.el_chain, 0);
     if (!opts_.metadata_in_dram) mirror_vertex(plan[i].vertex);
   }
   for (std::uint64_t s = begin_seg; s < end_seg; ++s) {
@@ -574,8 +574,7 @@ void DgapStore::resize_and_rebuild(std::uint64_t extra_slots) {
       VertexEntry& e = entries_[plan[i].vertex];
       e.start = plan[i].new_start;
       e.arr_count = runs[i].arr_count + runs[i].el_count;
-      store_u32_relaxed(e.el_count, 0);
-      e.el_head_p1 = 0;
+      store_u64_relaxed(e.el_chain, 0);
       std::uint64_t pos = plan[i].new_start;
       std::uint64_t left = plan[i].count;
       while (left > 0) {

@@ -8,8 +8,8 @@
 // chunk copy from the persisted cursor, re-zero vacated slots, re-mark
 // spliced edge-log entries consumed); (2) scan the edge array — pivots
 // rebuild the vertex array, occupancy rebuilds the PMA tree; (3) scan the
-// per-section edge logs — unconsumed entries rebuild el_count/el_head
-// chains; (4) re-issue the interrupted rebalances on their recorded
+// per-section edge logs — unconsumed entries rebuild each vertex's chain
+// word (count, head); (4) re-issue the interrupted rebalances on their recorded
 // windows.
 #include <algorithm>
 #include <cassert>
@@ -238,7 +238,7 @@ void DgapStore::rebuild_volatile_from_scan() {
         const NodeId v = pivot_vertex(s);
         if (static_cast<std::size_t>(v) >= entries_.size())
           entries_.ensure(ceil_pow2(static_cast<std::uint64_t>(v) + 1) * 2);
-        entries_[v] = VertexEntry{pos, 0, 0, 0, 0};
+        entries_[v] = VertexEntry{.start = pos};
         cur = v;
         max_vertex = std::max(max_vertex, v);
       } else {
@@ -270,8 +270,9 @@ void DgapStore::rebuild_volatile_from_scan() {
       }
       raw = static_cast<std::uint32_t>(i) + 1;
       if (elog_consumed(e)) continue;
-      entries_[v].el_count += 1;
-      entries_[v].el_head_p1 = static_cast<std::uint32_t>(i) + 1;
+      entries_[v].el_chain =
+          chain_word(chain_count(entries_[v].el_chain) + 1,
+                     static_cast<std::uint32_t>(i) + 1);
       if (elog_tombstone(e)) entries_[v].has_tombstone = 1;
       ++live;
       tree_->add(sec, +1);
@@ -315,8 +316,8 @@ void DgapStore::persist_shutdown_image() {
   auto* pe = reinterpret_cast<PackedEntry*>(base + sizeof(ImageHeader));
   for (std::uint64_t v = 0; v < nv; ++v) {
     const VertexEntry& e = entries_[v];
-    pe[v] = {e.start, e.arr_count, e.el_count, e.el_head_p1,
-             e.has_tombstone};
+    pe[v] = {e.start, e.arr_count, chain_count(e.el_chain),
+             chain_head_p1(e.el_chain), e.has_tombstone};
   }
   auto* ps = reinterpret_cast<PackedSection*>(
       base + sizeof(ImageHeader) + nv * sizeof(PackedEntry));
@@ -344,9 +345,11 @@ bool DgapStore::load_shutdown_image() {
   const auto* pe =
       reinterpret_cast<const PackedEntry*>(base + sizeof(ImageHeader));
   for (std::uint64_t v = 0; v < nv; ++v) {
-    entries_[v] = VertexEntry{pe[v].start, pe[v].arr_count, pe[v].el_count,
-                              pe[v].el_head_p1,
-                              static_cast<std::uint8_t>(pe[v].tombstone)};
+    entries_[v] = VertexEntry{
+        .start = pe[v].start,
+        .el_chain = chain_word(pe[v].el_count, pe[v].el_head_p1),
+        .arr_count = pe[v].arr_count,
+        .has_tombstone = static_cast<std::uint8_t>(pe[v].tombstone)};
   }
   const auto* ps = reinterpret_cast<const PackedSection*>(
       base + sizeof(ImageHeader) + nv * sizeof(PackedEntry));

@@ -129,9 +129,11 @@ class Snapshot {
   // order as fn(dst, tombstone) — no tombstone cancellation. The suffix
   // form is what the snapshot diff consumes: per-vertex slot sequences are
   // append-only across structural ops, so the slots past an older cut's
-  // degree are exactly the events between the cuts.
+  // degree are exactly the events between the cuts. Returns the edge-log
+  // chain entries read (DgapStore::read_frozen_range).
   template <typename F>
-  void for_each_slot_from(NodeId v, std::uint32_t from, F&& fn) const;
+  std::uint32_t for_each_slot_from(NodeId v, std::uint32_t from,
+                                   F&& fn) const;
 
   // True when both snapshots were captured from the same (still-open)
   // store — the precondition snapshot_delta validates.

@@ -19,6 +19,7 @@ struct BlockRuns {
   std::vector<DeltaEdge> inserted;
   std::vector<DeltaEdge> deleted;
   std::uint64_t scanned = 0;
+  std::uint64_t elog_reads = 0;
 };
 
 }  // namespace
@@ -89,9 +90,10 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
       // The newer cut's slot suffix [d_old, d_new) is the event stream for
       // this vertex, in chronological order.
       std::uint32_t at = d_old(v);
-      newer.for_each_slot_from(v, at, [&](NodeId dst, bool tomb) {
-        (tomb ? out.deleted : out.inserted).push_back({v, dst, at++});
-      });
+      out.elog_reads +=
+          newer.for_each_slot_from(v, at, [&](NodeId dst, bool tomb) {
+            (tomb ? out.deleted : out.inserted).push_back({v, dst, at++});
+          });
     }
   });
 
@@ -104,6 +106,7 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
     inserted += r.inserted.size();
     deleted += r.deleted.size();
     d.scanned_vertices += r.scanned;
+    d.elog_reads += r.elog_reads;
   }
   d.changed.reserve(changed);
   d.changed_old_degree.reserve(changed);

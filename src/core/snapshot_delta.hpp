@@ -15,11 +15,17 @@
 // store's touch map (dgap_store.hpp): writers stamp the current capture
 // sequence into a 4096-entry block map (256 vertex ids per block) on every
 // absorbed edge, so blocks untouched since the older cut's sequence are
-// skipped wholesale. That makes the diff O(V / 256 + touched + |delta|):
-// proportional to the delta for the sparse trickle case this layer exists
-// for, and never worse than the full scan. Block granularity and the
-// process-global sequence only ever yield false positives (a candidate
-// block whose vertices turn out unchanged) — never a missed change.
+// skipped wholesale. Reading a changed vertex's suffix costs only the
+// suffix: its array part is one contiguous run, and the edge-log chain walk
+// (DgapStore::read_frozen_range) stops at the first chain entry the suffix
+// holds. The walk starts at the live chain head, so it also steps over the
+// entries appended to that vertex after the newer cut — one charged read
+// each, bounded by the writes since the capture. That makes the diff
+// O(V / 256 + touched + |delta| + appended-since-cut): proportional to the
+// delta for the sparse trickle case this layer exists for, and never worse
+// than the full scan. Block granularity and the process-global sequence
+// only ever yield false positives (a candidate block whose vertices turn
+// out unchanged) — never a missed change.
 //
 // The walk is parallel on par::: participants claim 256-id touch blocks,
 // each block fills its own output runs, and the runs are joined in block
@@ -69,6 +75,10 @@ struct SnapshotDelta {
   bool used_fallback = false;
   // Vertices whose degree was actually inspected (pruning effectiveness).
   std::uint64_t scanned_vertices = 0;
+  // Edge-log chain entries read (one charged pmem read each): the delta's
+  // edge-log events plus the entries appended to changed vertices after
+  // the newer cut.
+  std::uint64_t elog_reads = 0;
 
   [[nodiscard]] std::size_t delta_edges() const {
     return inserted.size() + deleted.size();

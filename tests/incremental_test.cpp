@@ -213,6 +213,59 @@ TEST(SnapshotDelta, LayoutRetirementFallsBackWithIdenticalOutput) {
   m.expect(d);
 }
 
+// A hub whose array run is full sends every further edge to its section's
+// edge log, so one chain spans several cuts. Each round's diff reads the
+// hub's suffix by walking the chain from its live head: it must step over
+// only the entries appended after the newer cut and stop at the first
+// entry of the round — elog_reads is the round's log events plus those
+// late appends, never the chain length.
+TEST(SnapshotDelta, ElogSuffixReadStopsAtOlderCut) {
+  auto pool = make_pool(32);
+  DgapOptions o = small_opts();
+  o.init_edges = 512;    // 32 slots per vertex: the hub's run fills fast
+  o.segment_slots = 64;  // small sections: two vertices share an edge log
+  auto store = DgapStore::create(*pool, o);
+  ScriptedMutator m(*store);
+  const auto log_entries = [&] { return store->stats().elog_inserts.load(); };
+  constexpr NodeId kHub = 6;
+  for (int i = 0; log_entries() == 0; ++i) {
+    ASSERT_LT(i, 1000) << "the hub's run never filled";
+    m.insert(kHub, i % 64);
+  }
+  const std::uint64_t rebalances = store->stats().rebalances;
+
+  Snapshot older = store->consistent_view();
+  m.cut();
+  std::uint64_t log_at_older = log_entries();
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    // The round: hub inserts and tombstones (all edge-log appends), plus
+    // array appends on two light vertices the diff reads with no chain.
+    for (int i = 0; i < 12; ++i) m.insert(kHub, 40 + (round * 12 + i) % 24);
+    for (int i = 0; i < 4; ++i) m.remove(kHub, 40 + i);
+    m.insert(20 + round, round);
+    m.remove(30, round);
+    Snapshot newer = store->consistent_view();
+    const ScriptedMutator round_script = m;
+    m.cut();
+    // Appended after the newer cut, before the diff reads the hub: the
+    // chain head the walk starts from has grown past the cut.
+    for (int i = 0; i < 5; ++i) m.insert(kHub, 50 + i);
+
+    const SnapshotDelta d = snapshot_delta(older, newer);
+    round_script.expect(d);
+    const std::uint64_t chain_len = log_entries();  // the hub's whole chain
+    EXPECT_EQ(d.elog_reads, chain_len - log_at_older);
+    EXPECT_LT(d.elog_reads, chain_len);
+    log_at_older = chain_len - 5;  // the late appends belong to next round
+    older = std::move(newer);
+  }
+  // The chain grew across every cut: no merge reset it mid-test.
+  EXPECT_EQ(store->stats().rebalances, rebalances);
+  std::string why;
+  EXPECT_TRUE(store->check_invariants(&why)) << why;
+}
+
 // The diff walks 256-id touch blocks in parallel and joins the per-block
 // runs in block order, so every field — `at` ordinals and the pruning
 // counter included — must equal the single-threaded walk at every width.

@@ -11,17 +11,25 @@
 //   * lock-free snapshot reads stay exact through a resize/rebalance storm
 //     driven from multiple writer threads;
 //   * every consistent_view() taken beside a sequential writer is a point-
-//     in-time cut across all sources: a prefix of the insert order.
+//     in-time cut across all sources: a prefix of the insert order;
+//   * snapshot diffs taken while writers grow a few hubs' edge-log chains
+//     (merges and resizes included) equal each newer cut's slot stream
+//     past the older cut's degree, and a DeltaMirror advanced by them
+//     stays equal to one built from the newer cut.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/algorithms/incremental/delta_mirror.hpp"
 #include "src/core/dgap_store.hpp"
+#include "src/core/snapshot_delta.hpp"
 #include "src/graph/generators.hpp"
 
 namespace dgap::core {
@@ -250,6 +258,143 @@ TEST(SnapshotConcurrency, ConsistentViewIsPointInTimeCutAcrossSources) {
   for (const NodeId s : srcs) total += final_snap.neighbors(s).size();
   EXPECT_EQ(total, static_cast<std::uint64_t>(kEdges));
   EXPECT_GT(store->stats().resizes, 0u);
+}
+
+// v's frozen slots in `cut` as (dst, tombstone), chronological.
+std::vector<std::pair<NodeId, bool>> slot_stream(const Snapshot& cut,
+                                                 NodeId v) {
+  std::vector<std::pair<NodeId, bool>> out;
+  cut.for_each_slot_from(v, 0, [&](NodeId d, bool tomb) {
+    out.emplace_back(d, tomb);
+  });
+  return out;
+}
+
+// Empty when `d` is exactly the newer cut's slots past the older cut's
+// degree, vertex by vertex; otherwise what differs.
+std::string delta_mismatch(const Snapshot& older, const Snapshot& newer,
+                           const SnapshotDelta& d) {
+  std::map<NodeId, std::map<std::uint32_t, std::pair<NodeId, bool>>> events;
+  for (const DeltaEdge& e : d.inserted) events[e.src][e.at] = {e.dst, false};
+  for (const DeltaEdge& e : d.deleted) events[e.src][e.at] = {e.dst, true};
+  std::size_t i = 0;
+  for (NodeId v = 0; v < newer.num_nodes(); ++v) {
+    const auto d_old = static_cast<std::uint32_t>(
+        v < older.num_nodes() ? older.out_degree(v) : 0);
+    const auto d_new = static_cast<std::uint32_t>(newer.out_degree(v));
+    const bool listed = i < d.changed.size() && d.changed[i] == v;
+    if (listed != (d_new > d_old))
+      return "vertex " + std::to_string(v) + " changed-list mismatch";
+    if (!listed) continue;
+    if (d.changed_old_degree[i++] != d_old)
+      return "vertex " + std::to_string(v) + " old degree mismatch";
+    const auto stream = slot_stream(newer, v);
+    if (stream.size() != d_new)
+      return "vertex " + std::to_string(v) + " stream length mismatch";
+    const auto& got = events[v];
+    if (got.size() != d_new - d_old)
+      return "vertex " + std::to_string(v) + " event count mismatch";
+    std::uint32_t at = d_old;
+    for (const auto& [ord, ev] : got) {
+      if (ord != at || ev != stream[at])
+        return "vertex " + std::to_string(v) + " event at " +
+               std::to_string(ord) + " differs from the cut's slot";
+      ++at;
+    }
+  }
+  if (i != d.changed.size()) return "changed lists a vertex past the cut";
+  return {};
+}
+
+// Empty when the mirrors are observably identical (degrees with tombstone
+// slots, surviving neighbors in order).
+std::string mirror_mismatch(const algorithms::DeltaMirror& got,
+                            const algorithms::DeltaMirror& want) {
+  if (got.num_nodes() != want.num_nodes() ||
+      got.num_edges_directed() != want.num_edges_directed())
+    return "mirror size mismatch";
+  for (NodeId v = 0; v < want.num_nodes(); ++v) {
+    std::vector<NodeId> a;
+    std::vector<NodeId> b;
+    got.for_each_out(v, [&](NodeId x) { a.push_back(x); });
+    want.for_each_out(v, [&](NodeId x) { b.push_back(x); });
+    if (got.out_degree(v) != want.out_degree(v) || a != b)
+      return "mirror vertex " + std::to_string(v) + " differs";
+  }
+  return {};
+}
+
+// Two writers grow four hubs' edge-log chains (one per edge, one in small
+// batches; about a quarter of the slots tombstones) until merges and
+// resizes reset them, while this thread cuts, diffs and checks every
+// round. The diff walks each hub's chain from a head that writers keep
+// moving, and the full-stream reads it is checked against race the same
+// appends.
+TEST(SnapshotConcurrency, ElogChainDiffsMatchCutsWhileHubsGrow) {
+  constexpr NodeId kHubs[] = {1, 9, 17, 40};
+  constexpr int kOps = 4000;
+  auto pool = PmemPool::create({.path = "", .size = 64 << 20});
+  DgapOptions o = tiny_opts();
+  o.segment_slots = 64;
+  auto store = DgapStore::create(*pool, o);
+
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      std::mt19937 rng(static_cast<unsigned>(500 + w));
+      std::vector<Edge> ins;
+      std::vector<Edge> del;
+      for (int i = 0; i < kOps; ++i) {
+        const Edge e{kHubs[rng() % 4], static_cast<NodeId>(rng() % 256)};
+        const bool tomb = rng() % 4 == 0;
+        if (w == 0) {
+          tomb ? store->delete_edge(e.src, e.dst)
+               : store->insert_edge(e.src, e.dst);
+        } else {
+          (tomb ? del : ins).push_back(e);
+          if (ins.size() + del.size() >= 16) {
+            store->insert_batch(ins);
+            store->delete_batch(del);
+            ins.clear();
+            del.clear();
+          }
+        }
+        if ((i & 63) == 0) std::this_thread::yield();
+      }
+      store->insert_batch(ins);
+      store->delete_batch(del);
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  Snapshot older = store->consistent_view();
+  auto mirror = algorithms::DeltaMirror::build(older);
+  std::string violation;
+  int rounds = 0;
+  std::uint64_t elog_reads = 0;
+  for (bool last = false; violation.empty() && !last; ++rounds) {
+    last = writers_done.load(std::memory_order_acquire) == 2;
+    Snapshot newer = store->consistent_view();
+    const SnapshotDelta d = snapshot_delta(older, newer);
+    elog_reads += d.elog_reads;
+    violation = delta_mismatch(older, newer, d);
+    if (violation.empty()) {
+      mirror.apply(d, newer);
+      violation = mirror_mismatch(mirror,
+                                  algorithms::DeltaMirror::build(newer));
+    }
+    if (!violation.empty())
+      violation = "round " + std::to_string(rounds) + ": " + violation;
+    older = std::move(newer);
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_TRUE(violation.empty()) << violation;
+  EXPECT_GT(rounds, 1);
+  EXPECT_GT(elog_reads, 0u);
+  EXPECT_GT(store->stats().merges, 0u);
+  std::string why;
+  EXPECT_TRUE(store->check_invariants(&why)) << why;
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // concurrent snapshots at different times, early-exit iteration, and the
 // interaction between snapshots and vertex-table growth (which a held
 // snapshot must NOT block — the epoch-versioned read path replaced the old
-// reader gate).
+// reader gate), and nested reads from inside an emit callback.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -119,6 +120,48 @@ TEST_F(SnapFixture, ReadsOfGrownVerticesAfterSnapshot) {
   const Snapshot after = store->consistent_view();
   EXPECT_EQ(after.out_degree(63), 1);
   EXPECT_EQ(before.out_degree(63), 0);
+}
+
+// An emit callback that reads the store again must not disturb the
+// edge-log entries its caller is still emitting — also when it re-enters
+// through the very same call site, as a recursive walk does. Both hubs
+// outgrow their array runs, so each keeps a chain in its section's edge
+// log, and every emit of the outer hub walks the inner one.
+TEST_F(SnapFixture, NestedReadsKeepTheOuterEdgeLogChain) {
+  constexpr NodeId kOuter = 4;
+  constexpr NodeId kInner = 40;
+  std::vector<NodeId> outer_expect;
+  std::vector<NodeId> inner_expect;
+  for (NodeId i = 0; i < 100; ++i) {
+    store->insert_edge(kInner, i % 64);
+    inner_expect.push_back(i % 64);
+  }
+  const std::uint64_t inner_log = store->stats().elog_inserts;
+  for (NodeId i = 0; i < 100; ++i) {
+    store->insert_edge(kOuter, (i * 7) % 64);
+    outer_expect.push_back((i * 7) % 64);
+  }
+  ASSERT_GT(inner_log, 0u);
+  ASSERT_GT(store->stats().elog_inserts, inner_log);
+  ASSERT_EQ(store->stats().rebalances, 0u);  // no merge drained a chain
+
+  const Snapshot s = store->consistent_view();
+  std::vector<NodeId> outer;
+  std::vector<NodeId> inner;
+  std::function<void(NodeId)> walk = [&](NodeId v) {
+    s.for_each_out(v, [&](NodeId d) {
+      if (v == kInner) {
+        inner.push_back(d);
+        return;
+      }
+      outer.push_back(d);
+      inner.clear();
+      walk(kInner);
+      EXPECT_EQ(inner, inner_expect);
+    });
+  };
+  walk(kOuter);
+  EXPECT_EQ(outer, outer_expect);
 }
 
 }  // namespace
